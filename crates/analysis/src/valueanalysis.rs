@@ -243,6 +243,13 @@ impl FunctionAnalysis {
         out
     }
 
+    /// Consumes the analysis, keeping only the CFG and loop forest it
+    /// ran on (the per-block states are dropped).
+    #[must_use]
+    pub fn into_cfg_and_forest(self) -> (Cfg, LoopForest) {
+        (self.cfg, self.forest)
+    }
+
     /// Loop-bound analysis over this function (see [`crate::loopbound`]).
     #[must_use]
     pub fn loop_bounds(&self) -> crate::loopbound::LoopBounds {

@@ -370,16 +370,16 @@ impl CallGraph {
 
         // Ids in sorted (function, string) order — `preds` is a BTreeMap,
         // so its iteration order *is* that order.
-        let ids: BTreeMap<Key, CtxId> = preds
+        let ids: BTreeMap<&Key, CtxId> = preds
             .keys()
             .enumerate()
-            .map(|(i, k)| (k.clone(), CtxId(i)))
+            .map(|(i, k)| (k, CtxId(i)))
             .collect();
         let mut contexts = Vec::with_capacity(preds.len());
         let mut by_function: BTreeMap<Addr, Vec<CtxId>> = BTreeMap::new();
         let mut edges: BTreeMap<(CtxId, Addr, Addr), CtxId> = BTreeMap::new();
-        for ((fun, string), pred_keys) in &preds {
-            let id = ids[&(*fun, string.clone())];
+        for (i, ((fun, string), pred_keys)) in preds.iter().enumerate() {
+            let id = CtxId(i);
             let pred_ids: Vec<(CtxId, Addr)> = pred_keys
                 .iter()
                 .map(|(pk, site)| (ids[pk], *site))

@@ -1,14 +1,15 @@
 //! The complete aiT-style analyzer (Figure 1 end to end).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use wcet_analysis::loopbound::{BoundResult, BoundSource, LoopBounds};
 use wcet_analysis::state::AbstractState;
-use wcet_analysis::valueanalysis::AnalysisConfig;
+use wcet_analysis::valueanalysis::{AnalysisConfig, FunctionSummary};
 use wcet_analysis::{analyze_function, FunctionAnalysis};
-use wcet_cfg::callgraph::{CallGraph, ContextTable, CtxId};
+use wcet_cfg::callgraph::{CallGraph, ContextInfo, ContextTable, CtxId};
 use wcet_cfg::dom::Dominators;
 use wcet_cfg::graph::{reconstruct, Cfg, Program};
 use wcet_cfg::loops::LoopForest;
@@ -26,8 +27,8 @@ use wcet_micro::pipeline::{self, BranchPenalties, PipelineStates};
 use wcet_path::ipet::{self, CallCosts, LpStats, PathError, WcetResult};
 
 use crate::incr::{
-    ipet_ctx_struct_key, ipet_full_key, ipet_site_full_key, ipet_struct_key, ArtifactCache,
-    FootprintArtifact, FunctionArtifact, IncrStats, IpetEntry, KeyContext,
+    ipet_ctx_struct_key, ipet_site_full_key, ArtifactCache, FootprintArtifact, FunctionArtifact,
+    IncrStats, IpetEntry, KeyContext, UnitRecord,
 };
 use crate::parallel::{self, WorkerPool};
 use crate::phases::PhaseTrace;
@@ -57,30 +58,33 @@ pub struct AnalyzerConfig {
     /// results merge in function-address order.
     pub parallelism: Option<usize>,
     /// Call-string context depth `k` for VIVU-style context expansion
-    /// (reference \[13\]): `0` (the default) analyzes one merged unit per
-    /// function — exactly the classic pipeline — while `k ≥ 1` analyzes
-    /// one *(function, call-string)* unit per distinct suffix of up to
-    /// `k` call sites, propagating the caller's register intervals and
-    /// abstract cache state into each callee context instead of ⊤.
-    /// Recursive SCCs are always truncated to one merged context.
+    /// (reference \[13\]). Every depth runs the same unit pipeline over
+    /// *(function, call-string)* units; the depth picks the unit set and
+    /// the entry policy. `0` (the default) has one unit per function,
+    /// entered from the image entry state with an unknown cache and pipe
+    /// (cold and drained for the task entry) — the classic merged
+    /// analysis. `k ≥ 1` has one unit per distinct suffix of up to `k`
+    /// call sites, entered from the join of its callers' register
+    /// intervals, abstract cache states and pipes instead of ⊤. Recursive
+    /// SCCs are always truncated to one merged context.
     pub context_depth: usize,
-    /// Per-context cache **persistence analysis** (first-miss
-    /// classification) with callee **footprint summaries**: calls age the
-    /// caller's abstract cache by what the callee can actually touch
-    /// instead of clobbering it, and accesses whose line provably never
-    /// ages out are charged one miss per activation instead of one per
-    /// iteration. Takes effect in the context-sensitive pipeline
-    /// (`context_depth ≥ 1`) on machines with caches; the depth-0
-    /// pipeline ignores it (its reports must stay byte-identical to the
-    /// classic analyzer). Off by default.
+    /// Cache **persistence analysis** (first-miss classification) with
+    /// callee **footprint summaries**: calls age the caller's abstract
+    /// cache by what the callee can actually touch instead of clobbering
+    /// it, and accesses whose line provably never ages out are charged one
+    /// miss per activation instead of one per iteration. Works at every
+    /// context depth on machines with caches (without a cache it changes
+    /// nothing). Off by default.
     pub persistence: bool,
     /// Abstract in-order **pipeline timing** with static BTFNT branch
     /// prediction: block costs become retirement deltas computed from an
-    /// abstract pipeline state carried block-to-block (and, at
-    /// `context_depth ≥ 1`, into callees per context), and conditional
-    /// branches pay [`wcet_isa::timing::TimingModel::mispredict_penalty`]
-    /// on their statically mispredicted CFG edge. This flag only changes
-    /// the *analysis*; pair it with [`MachineConfig::pipeline`] when
+    /// abstract pipeline state carried block-to-block and into each unit
+    /// from its entry policy (drained for the task entry, unknown for
+    /// callees at depth 0, joined from the callers' pipes at `k ≥ 1`), and
+    /// conditional branches pay
+    /// [`wcet_isa::timing::TimingModel::mispredict_penalty`] on their
+    /// statically mispredicted CFG edge. This flag only changes the
+    /// *analysis*; pair it with [`MachineConfig::pipeline`] when
     /// simulating the concrete machine. Off by default; flag-off reports
     /// are byte-identical to previous versions.
     pub pipeline: bool,
@@ -301,11 +305,13 @@ impl WcetAnalyzer {
     ///
     /// Functions whose content key (bytes, resolved control flow, image
     /// data, callee summaries, configuration) matches a cached artifact
-    /// skip value analysis, block timing, guideline checking, and — when
-    /// their callees' bounds are unchanged — the IPET solve; everything
-    /// is replayed from the cache. Changed functions and their transitive
-    /// callers (the [`CallGraph::transitive_callers`] closure) recompute,
-    /// and their artifacts are stored for the next run. The report is
+    /// replay their front matter (hints, findings, loop statistics), and
+    /// every unit whose digest has a record — and whose call-site hooks
+    /// no callee context joins — skips value analysis and block timing.
+    /// When a unit's callees' bounds are unchanged its IPET solution is
+    /// replayed too. Changed functions and their transitive callers (the
+    /// [`CallGraph::transitive_callers`] closure) re-solve, and new or
+    /// extended artifacts are stored for the next run. The report is
     /// **byte-identical** to [`Self::analyze`] on the same image and
     /// configuration, at any thread count; [`AnalysisReport::incr`]
     /// carries the hit statistics.
@@ -320,22 +326,6 @@ impl WcetAnalyzer {
     ) -> Result<AnalysisReport, AnalyzeError> {
         self.analyze_impl(image, Some(cache))
     }
-
-    /// The pipeline-state entry digest a depth-0 function artifact must
-    /// carry under this configuration: the digest of the abstract entry
-    /// pipe its block times were derived against (the drained pipe for
-    /// the task entry, the unknown pipe for callees), or `None` with the
-    /// pipeline model off.
-    fn pipeline_entry_digest(&self, is_entry: bool) -> Option<u64> {
-        self.config.pipeline.then(|| {
-            if is_entry {
-                PipelineStates::drained().digest()
-            } else {
-                PipelineStates::unknown(&self.config.machine).digest()
-            }
-        })
-    }
-
     fn analyze_impl(
         &self,
         image: &Image,
@@ -351,7 +341,6 @@ impl WcetAnalyzer {
             }
         };
         let key_ctx = cache.as_ref().map(|_| KeyContext::new(image, &self.config));
-        let mut stats = IncrStats::default();
 
         // --- Phase 1: decoding --------------------------------------
         let t0 = Instant::now();
@@ -366,6 +355,9 @@ impl WcetAnalyzer {
         let mut program = reconstruct(image, &resolver)?;
         trace.unresolved_initial = program.unresolved_sites().len();
         let mut phases_map: BTreeMap<Addr, FnPhase> = BTreeMap::new();
+        // The final round's callee summaries, when the cache keys needed
+        // them (the unit phase reuses them instead of recomputing).
+        let mut summaries: Option<Summaries> = None;
         let t2_accum = Instant::now();
         let mut value_time = t2_accum.elapsed();
         let mut value_work = Duration::ZERO;
@@ -381,13 +373,13 @@ impl WcetAnalyzer {
             let mut cold: Vec<Addr> = Vec::new();
             phases_map = BTreeMap::new();
             if let Some(ctx) = &key_ctx {
-                let summaries = wcet_analysis::valueanalysis::compute_summaries(&program);
+                let round_summaries = wcet_analysis::valueanalysis::compute_summaries(&program);
                 let store = cache
                     .as_deref_mut()
                     .expect("cache present with key context");
                 for &f in &funcs {
                     let cfg = program.cfg(f).expect("reconstructed");
-                    let key = ctx.function_key(cfg, &summaries);
+                    let key = ctx.function_key(cfg, &round_summaries);
                     keys.insert(f, key);
                     match store.lookup_fn(key) {
                         Some(artifact) => {
@@ -396,6 +388,7 @@ impl WcetAnalyzer {
                         None => cold.push(f),
                     }
                 }
+                summaries = Some(Arc::new(round_summaries));
             } else {
                 cold.clone_from(&funcs);
             }
@@ -406,7 +399,7 @@ impl WcetAnalyzer {
                     f,
                     FnPhase::Fresh {
                         key: keys.get(&f).copied(),
-                        fa,
+                        fa: Box::new(fa),
                     },
                 );
             }
@@ -451,74 +444,9 @@ impl WcetAnalyzer {
         trace.phase_times[2] = value_time;
         trace.phase_work_times[2] = value_work;
 
-        // --- Warm-unit preparation and validation ---------------------
-        // Every cached artifact is validated against the re-derived
-        // CFG/forest (the peeled pair, under unrolling) *before* anything
-        // downstream reads it. A failure — a corrupted artifact that
-        // still decoded, or a peel decision that no longer reproduces —
-        // downgrades the function to a fresh analysis here, so the front
-        // matter, guideline report, and trace never see stale data, and
-        // the recomputed artifact later overwrites the bad file.
-        //
-        // The context-sensitive pipeline (`context_depth ≥ 1`) replays
-        // only the front matter from artifacts — bounds and block times
-        // are per *(function, context)* and recomputed each run — so the
-        // structural replay below is skipped there.
-        let mut warm_prepared: BTreeMap<Addr, (Unit, BlockTimes)> = BTreeMap::new();
-        let mut warm_analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
-        let mut downgrade: Vec<Addr> = Vec::new();
-        for (&f, phase) in &phases_map {
-            if self.config.context_depth > 0 {
-                break;
-            }
-            let FnPhase::Warm { key, artifact } = phase else {
-                continue;
-            };
-            // The artifact's block times were derived against a specific
-            // abstract entry pipe (drained for the task entry, unknown
-            // for callees); replay only when the recorded digest matches
-            // what this run would use. The config fingerprint already
-            // forks the key space on the flag itself, but the digest also
-            // covers the entry/callee asymmetry the function key cannot
-            // see.
-            if artifact.pipeline_digest != self.pipeline_entry_digest(f == program.entry) {
-                downgrade.push(f);
-                continue;
-            }
-            let orig = program.cfg(f).expect("reconstructed");
-            let analyzed = if self.config.unrolling && artifact.peeled {
-                let dom = Dominators::compute(orig);
-                let forest = LoopForest::compute(orig, &dom);
-                // Pure, deterministic CFG surgery — no fixpoint re-run.
-                let (peeled, _skipped) = wcet_cfg::unroll::peel_all(orig, &forest);
-                warm_analyzed_cfgs.insert(f, peeled.clone());
-                peeled
-            } else {
-                orig.clone()
-            };
-            let dom = Dominators::compute(&analyzed);
-            let forest = LoopForest::compute(&analyzed, &dom);
-            match replay_unit(*key, artifact, analyzed, forest) {
-                Some(prepared) => {
-                    warm_prepared.insert(f, prepared);
-                }
-                None => downgrade.push(f),
-            }
-        }
-        for f in downgrade {
-            let key = match &phases_map[&f] {
-                FnPhase::Warm { key, .. } => *key,
-                _ => unreachable!("downgrades come from warm phases"),
-            };
-            warm_analyzed_cfgs.remove(&f);
-            let fa = analyze_function(&program, f, image);
-            phases_map.insert(f, FnPhase::Fresh { key: Some(key), fa });
-        }
-
         // --- Front matter: hints, findings, loop statistics -----------
-        // Captured per function before virtual unrolling replaces fresh
-        // analyses with their peeled copies; cached functions replay it
-        // from their artifacts.
+        // Per function over the reconstructed (un-peeled) CFG; cached
+        // functions replay it from their artifacts.
         let mut front: BTreeMap<Addr, FrontMatter> = BTreeMap::new();
         for (&f, phase) in &phases_map {
             let fm = match phase {
@@ -604,630 +532,35 @@ impl WcetAnalyzer {
             });
         }
 
-        // --- Context-sensitive pipeline (depth ≥ 1) --------------------
-        // From here the two pipelines diverge: the classic path below
-        // schedules one merged unit per function; the VIVU path schedules
-        // one unit per (function, call-string context), propagating entry
-        // states caller → callee. Depth 0 must stay byte-identical to the
-        // pre-context analyzer, so its code path is untouched.
-        if self.config.context_depth > 0 {
-            return self.analyze_contexts(CtxPipeline {
-                image,
-                program,
-                callgraph,
-                phases_map,
-                front,
-                guideline_report,
-                trace,
-                cache,
-                key_ctx,
-                stats,
-                pool,
-            });
-        }
-
-        // --- Virtual unrolling (optional context expansion) -------------
-        // Guideline checking above used the un-peeled CFGs (peeled copies
-        // would double-report findings); timing and path analysis can use
-        // the expanded CFGs for per-context cache precision.
-        let mut analyzed_cfgs: BTreeMap<Addr, wcet_cfg::Cfg> = BTreeMap::new();
-        let mut peeled_flags: BTreeMap<Addr, bool> = BTreeMap::new();
-        if self.config.unrolling {
-            let t_unroll = Instant::now();
-            let summaries =
-                std::sync::Arc::new(wcet_analysis::valueanalysis::compute_summaries(&program));
-            let entry_state = wcet_analysis::valueanalysis::entry_state_from_image(image);
-            let fresh_fns: Vec<Addr> = phases_map
-                .iter()
-                .filter(|(_, p)| matches!(p, FnPhase::Fresh { .. }))
-                .map(|(&f, _)| f)
-                .collect();
-            // Peel-and-reanalyze is per-function independent: fan out flat.
-            let (peeled, unroll_work) = pool.map_in_order(&fresh_fns, |&f| {
-                let FnPhase::Fresh { fa, .. } = &phases_map[&f] else {
-                    unreachable!("fresh_fns holds fresh phases only")
-                };
-                let (peeled, _skipped) = wcet_cfg::unroll::peel_all(fa.cfg(), fa.forest());
-                if peeled.block_count() != fa.cfg().block_count() {
-                    Some(wcet_analysis::valueanalysis::analyze_cfg(
-                        peeled,
-                        f,
-                        entry_state.clone(),
-                        wcet_analysis::valueanalysis::AnalysisConfig::default(),
-                        summaries.clone(),
-                    ))
-                } else {
-                    None
-                }
-            });
-            for (f, fa2) in fresh_fns.into_iter().zip(peeled) {
-                if let Some(fa2) = fa2 {
-                    analyzed_cfgs.insert(f, fa2.cfg().clone());
-                    peeled_flags.insert(f, true);
-                    let key = match phases_map.get(&f) {
-                        Some(FnPhase::Fresh { key, .. }) => *key,
-                        _ => None,
-                    };
-                    phases_map.insert(f, FnPhase::Fresh { key, fa: fa2 });
-                }
-            }
-            // Cached functions whose artifacts recorded a peel: the
-            // validated peeled CFGs were derived above.
-            for (&f, peeled) in &warm_analyzed_cfgs {
-                analyzed_cfgs.insert(f, peeled.clone());
-                peeled_flags.insert(f, true);
-            }
-            // Context expansion re-runs the value analysis, so its cost
-            // belongs to the loop/value phase.
-            trace.phase_times[2] += t_unroll.elapsed();
-            trace.phase_work_times[2] += unroll_work;
-        }
-
-        // --- Phase 4: units + cache/pipeline analysis ------------------
-        // Each function becomes a self-contained unit: the analyzed CFG
-        // and forest, automatic loop bounds, and block times — fresh from
-        // the analysis, or replayed from the validated artifact.
-        let t3 = Instant::now();
-        let overrides = self.config.annotations.access_overrides();
-        let mut units: BTreeMap<Addr, Unit> = BTreeMap::new();
-        let mut warm_times: BTreeMap<Addr, BlockTimes> = BTreeMap::new();
-        let mut artifacts: BTreeMap<Addr, FunctionArtifact> = BTreeMap::new();
-        for (f, (unit, times_f)) in warm_prepared {
-            if let Some(FnPhase::Warm { artifact, .. }) = phases_map.get(&f) {
-                artifacts.insert(f, artifact.clone());
-            }
-            warm_times.insert(f, times_f);
-            units.insert(f, unit);
-        }
-        let fresh_fns: Vec<Addr> = phases_map
-            .iter()
-            .filter(|(&f, _)| !units.contains_key(&f))
-            .map(|(&f, _)| f)
-            .collect();
-        let mut fresh_fas: BTreeMap<Addr, (Option<u64>, FunctionAnalysis)> = BTreeMap::new();
-        for &f in &fresh_fns {
-            let Some(FnPhase::Fresh { key, fa }) = phases_map.remove(&f) else {
-                unreachable!("warm phases were validated (or downgraded) above")
-            };
-            fresh_fas.insert(f, (key, fa));
-        }
-        let items: Vec<(&Addr, &(Option<u64>, FunctionAnalysis))> = fresh_fas.iter().collect();
-        let (timed, cache_work) = pool.map_in_order(&items, |&(&f, entry)| {
-            let fa = &entry.1;
-            let machine = &self.config.machine;
-            // The flat pipeline does not track caller cache states, so a
-            // callee's fixpoint must start from the *unknown* ACS: the
-            // cold default proves absence for every line and classifies
-            // entry fetches always-miss, inflating the BCET whenever the
-            // caller's own fetches already warmed a shared line. Only the
-            // task entry genuinely starts on the cold machine.
-            let is_entry = f == program.entry;
-            let icache = machine.icache.as_ref().map(|cc| {
-                let unknown = (!is_entry).then(|| CacheStates::unknown(cc));
-                CacheAnalysis::instruction_with(
-                    fa.cfg(),
-                    cc,
-                    &machine.memmap,
-                    &CacheCtx {
-                        entry: unknown.as_ref(),
-                        ..CacheCtx::default()
-                    },
-                )
-                .analysis
-            });
-            let accesses = fa.access_values();
-            let dcache = machine.dcache.as_ref().map(|cc| {
-                let unknown = (!is_entry).then(|| CacheStates::unknown(cc));
-                CacheAnalysis::data_with(
-                    fa.cfg(),
-                    cc,
-                    &machine.memmap,
-                    &accesses,
-                    &CacheCtx {
-                        entry: unknown.as_ref(),
-                        ..CacheCtx::default()
-                    },
-                )
-                .analysis
-            });
-            let block_times = if self.config.pipeline {
-                // The abstract pipe mirrors the ACS rule: only the task
-                // entry genuinely starts drained; callees may inherit
-                // any pipe occupancy from their callers.
-                let entry_pipe = (!is_entry).then(|| PipelineStates::unknown(machine));
-                pipeline::analyze(
-                    fa,
-                    machine,
-                    &overrides,
-                    icache.as_ref(),
-                    dcache.as_ref(),
-                    entry_pipe.as_ref(),
-                )
-                .times
-            } else {
-                BlockTimes::compute_from_parts(
-                    fa,
-                    machine,
-                    &overrides,
-                    icache.as_ref(),
-                    dcache.as_ref(),
-                )
-            };
-            let cache_summary = icache.as_ref().map(CacheAnalysis::summary);
-            (block_times, cache_summary)
-        });
-        let mut times: BTreeMap<Addr, BlockTimes> = warm_times;
-        let mut fresh_summaries: BTreeMap<Addr, Option<(usize, usize, usize)>> = BTreeMap::new();
-        for ((&f, _), (block_times, cache_summary)) in items.iter().zip(timed) {
-            times.insert(f, block_times);
-            fresh_summaries.insert(f, cache_summary);
-        }
-        for (f, (key, fa)) in fresh_fas {
-            let bounds = fa.loop_bounds();
-            units.insert(
-                f,
-                Unit {
-                    key,
-                    warm: false,
-                    bounds,
-                    body: UnitBody::Fresh(fa),
-                },
-            );
-        }
-        // The cache-classification counters accumulate over all
-        // functions, in address order (the sum is order-independent, but
-        // stay deterministic anyway).
-        for (&f, unit) in &units {
-            let summary = if unit.warm {
-                artifacts[&f].cache_summary
-            } else {
-                fresh_summaries.get(&f).copied().flatten()
-            };
-            if let Some((h, m, nc)) = summary {
-                trace.cache_always_hit += h;
-                trace.cache_always_miss += m;
-                trace.cache_not_classified += nc;
-            }
-        }
-        if self.config.pipeline {
-            // Structural, so warm and cold runs count identically.
-            for unit in units.values() {
-                trace.pipeline_edges += pipeline::predicted_edge_count(unit.cfg());
-            }
-        }
-        trace.phase_times[3] = t3.elapsed();
-        trace.phase_work_times[3] = cache_work;
-
-        // --- Dirtiness propagation ------------------------------------
-        // Changed functions (content-key misses) plus their transitive
-        // callers: exactly the set whose IPET solutions may differ from
-        // the cache. Clean functions are guaranteed full-key hits below —
-        // the property tests pin that invariant.
-        let dirty: BTreeSet<Addr> = if key_ctx.is_some() {
-            let changed: BTreeSet<Addr> = units
-                .iter()
-                .filter(|(_, u)| !u.warm)
-                .map(|(&f, _)| f)
-                .collect();
-            let dirty = callgraph.transitive_callers(&changed);
-            stats.functions = units.len();
-            stats.fn_hits = units.len() - changed.len();
-            stats.fn_misses = changed.len();
-            stats.dirty = dirty.len();
-            dirty
-        } else {
-            BTreeSet::new()
-        };
-
-        // --- Phase 5: path analysis as a bottom-up wavefront -----------
-        // The call graph is leveled into groups whose callees all lie in
-        // earlier levels; groups within one level share no call edges and
-        // solve their IPET systems concurrently. Results merge in
-        // function-address order, so the report is identical for any
-        // worker count. With a cache, the coordinator first serves
-        // `(function, mode, callee costs)`-keyed solutions; only the rest
-        // fan out to the solvers.
-        let t4 = Instant::now();
-        let mut path_work = Duration::ZERO;
-        let mut mode_wcet: BTreeMap<Option<String>, u64> = BTreeMap::new();
-        let mut global_functions: BTreeMap<Addr, FunctionReport> = BTreeMap::new();
-
-        let mut modes: Vec<Option<String>> = vec![None];
-        modes.extend(
-            self.config
-                .annotations
-                .modes()
-                .iter()
-                .map(|m| Some(m.clone())),
-        );
-
-        let levels = callgraph.bottom_up_levels();
-        for mode in &modes {
-            let mut wcet_costs = CallCosts::new();
-            let mut bcet_costs = CallCosts::new();
-            let mut per_function: BTreeMap<Addr, FunctionReport> = BTreeMap::new();
-            for level in &levels {
-                // Coordinator pass: serve cached IPET solutions, decide
-                // what still needs solving, and remember where to store
-                // fresh solutions.
-                let mut served: Vec<Option<GroupOutcome>> = Vec::new();
-                served.resize_with(level.len(), || None);
-                let mut to_solve: Vec<usize> = Vec::new();
-                let mut store_keys: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-                for (gi, group) in level.iter().enumerate() {
-                    let cacheable = group.len() == 1
-                        && !callgraph.is_recursive(group[0])
-                        && units[&group[0]].key.is_some();
-                    if !cacheable {
-                        to_solve.push(gi);
-                        continue;
-                    }
-                    let f = group[0];
-                    let unit = &units[&f];
-                    let fn_key = unit.key.expect("checked cacheable");
-                    let skey = ipet_struct_key(fn_key, mode.as_deref());
-                    let costs = callee_costs(unit.cfg(), &wcet_costs, &bcet_costs);
-                    match costs {
-                        Some(costs) => {
-                            let fkey = ipet_full_key(skey, &costs);
-                            // The dirtiness pass is the invalidation rule:
-                            // changed functions and their transitive
-                            // callers never consult the cache — they
-                            // re-solve and overwrite their entry. Clean
-                            // functions must hit (their whole input cone
-                            // is unchanged).
-                            if !dirty.contains(&f) {
-                                let store = cache.as_deref_mut().expect("cache active");
-                                let hit = store
-                                    .lookup_ipet(skey)
-                                    .filter(|e| e.full_key == fkey && entry_fits(e, unit.cfg()));
-                                if let Some(entry) = hit {
-                                    stats.ipet_hits += 1;
-                                    let annotation_bounds = if mode.is_none() {
-                                        self.annotation_bound_count(unit, mode.as_deref())
-                                    } else {
-                                        0
-                                    };
-                                    served[gi] = Some(GroupOutcome {
-                                        reports: vec![(
-                                            f,
-                                            FunctionReport {
-                                                wcet: entry.wcet,
-                                                bcet: entry.bcet,
-                                            },
-                                        )],
-                                        annotation_bounds,
-                                        lp: entry.lp,
-                                    });
-                                    continue;
-                                }
-                            }
-                            store_keys.insert(gi, (skey, fkey));
-                            to_solve.push(gi);
-                        }
-                        None => to_solve.push(gi), // a callee bound is missing: solve (and error there)
-                    }
-                }
-                let (outcomes, work) = pool.map_in_order(&to_solve, |&gi| {
-                    self.analyze_call_group(
-                        &level[gi],
-                        mode.as_deref(),
-                        &units,
-                        &times,
-                        &callgraph,
-                        &wcet_costs,
-                        &bcet_costs,
-                    )
-                });
-                path_work += work;
-                stats.ipet_solves += to_solve.len();
-                for (&gi, outcome) in to_solve.iter().zip(outcomes) {
-                    let outcome = outcome?;
-                    if let (Some(store), Some(&(skey, fkey))) =
-                        (cache.as_deref_mut(), store_keys.get(&gi))
-                    {
-                        let (f, report) = &outcome.reports[0];
-                        debug_assert_eq!(*f, level[gi][0]);
-                        store.store_ipet(
-                            skey,
-                            &IpetEntry {
-                                full_key: fkey,
-                                wcet: report.wcet.clone(),
-                                bcet: report.bcet.clone(),
-                                lp: outcome.lp,
-                            },
-                        );
-                    }
-                    served[gi] = Some(outcome);
-                }
-                for outcome in served.into_iter() {
-                    let outcome = outcome.expect("every group served or solved");
-                    if mode.is_none() {
-                        trace.loops_bounded_annot += outcome.annotation_bounds;
-                    }
-                    trace.lp_pivots += outcome.lp.pivots;
-                    trace.lp_refactorizations += outcome.lp.refactorizations;
-                    trace.lp_presolve_removed += outcome.lp.presolve_removed;
-                    for (f, report) in outcome.reports {
-                        wcet_costs.insert(f, report.wcet.wcet_cycles);
-                        bcet_costs.insert(f, report.bcet.wcet_cycles);
-                        per_function.insert(f, report);
-                    }
-                }
-            }
-            let entry_report = &per_function[&program.entry];
-            mode_wcet.insert(mode.clone(), entry_report.wcet.wcet_cycles);
-            if mode.is_none() {
-                global_functions = per_function;
-            }
-        }
-        trace.phase_times[4] = t4.elapsed();
-        trace.phase_work_times[4] = path_work;
-
-        // --- Store fresh artifacts ------------------------------------
-        if let (Some(ctx), Some(store)) = (&key_ctx, cache) {
-            // Only the rare repair path (fresh unit without a key, i.e. a
-            // corrupted artifact) needs the summaries again.
-            let mut summaries = None;
-            for (&f, unit) in &units {
-                if unit.warm {
-                    continue;
-                }
-                // Key over the *reconstructed* CFG (what the next run will
-                // hash during its rounds), not the peeled copy.
-                let key = unit.key.unwrap_or_else(|| {
-                    let summaries = summaries.get_or_insert_with(|| {
-                        wcet_analysis::valueanalysis::compute_summaries(&program)
-                    });
-                    ctx.function_key(program.cfg(f).expect("reconstructed"), summaries)
-                });
-                let fm = &front[&f];
-                let times_f = &times[&f];
-                let n = unit.cfg().block_count();
-                let artifact = FunctionArtifact {
-                    hint_calls: fm.hint_calls.clone(),
-                    hint_jumps: fm.hint_jumps.clone(),
-                    findings: fm.findings.clone(),
-                    loops_total: fm.loops_total,
-                    loops_auto: fm.loops_auto,
-                    peeled: peeled_flags.get(&f).copied().unwrap_or(false),
-                    bounds: unit
-                        .bounds
-                        .results()
-                        .iter()
-                        .map(|(id, r)| (id.0, *r))
-                        .collect(),
-                    times_wcet: (0..n).map(|b| times_f.wcet(wcet_cfg::BlockId(b))).collect(),
-                    times_bcet: (0..n).map(|b| times_f.bcet(wcet_cfg::BlockId(b))).collect(),
-                    cache_summary: fresh_summaries.get(&f).copied().flatten(),
-                    pipeline_digest: self.pipeline_entry_digest(f == program.entry),
-                };
-                store.store_fn(key, &artifact);
-            }
-        }
-
-        // ILP size statistics for the entry function (recomputed cheaply,
-        // over the CFG the ILP was actually built from).
-        let entry_cfg = units[&program.entry].cfg();
-        trace.ilp_vars = entry_cfg.edges().len() + entry_cfg.block_count() + 1;
-        trace.ilp_constraints = entry_cfg.block_count() * 2;
-
-        let entry_report = &global_functions[&program.entry];
-        Ok(AnalysisReport {
-            wcet_cycles: entry_report.wcet.wcet_cycles,
-            bcet_cycles: entry_report.bcet.wcet_cycles,
-            worst_path: entry_report.wcet.worst_path.clone(),
-            analyzed_cfgs,
-            functions: global_functions,
-            mode_wcet,
-            guidelines: guideline_report,
-            trace,
+        // --- Phases 3–5 per analysis unit -----------------------------
+        // One pipeline for every context depth: depth 0 is the
+        // one-context-per-function case, with the `Top` entry policy.
+        self.analyze_contexts(CtxPipeline {
+            image,
             program,
-            incr: key_ctx.map(|_| stats),
-        })
-    }
-
-    /// Replays the deterministic annotation pass to count
-    /// annotation-sourced bounds for a cache-served function (the trace
-    /// statistic the solver path counts inline).
-    fn annotation_bound_count(&self, unit: &Unit, mode: Option<&str>) -> usize {
-        let mut bounds = unit.bounds.clone();
-        self.config
-            .annotations
-            .apply_loop_bounds(unit.cfg(), unit.forest(), &mut bounds, mode);
-        bounds
-            .results()
-            .iter()
-            .filter(|(_, r)| {
-                matches!(
-                    r,
-                    BoundResult::Bounded {
-                        source: BoundSource::Annotation,
-                        ..
-                    }
-                )
-            })
-            .count()
-    }
-
-    /// Path-analyzes one wavefront group for `mode`: a single function,
-    /// or a recursive SCC processed as a unit (its members need each
-    /// other's per-activation body costs). Callee costs from every
-    /// earlier level are complete in `wcet_costs`/`bcet_costs`; same-level
-    /// groups share no call edges, so nothing else is needed.
-    #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
-    fn analyze_call_group(
-        &self,
-        group: &[Addr],
-        mode: Option<&str>,
-        units: &BTreeMap<Addr, Unit>,
-        times: &BTreeMap<Addr, BlockTimes>,
-        callgraph: &CallGraph,
-        wcet_costs: &CallCosts,
-        bcet_costs: &CallCosts,
-    ) -> Result<GroupOutcome, AnalyzeError> {
-        let mut reports: Vec<(Addr, FunctionReport)> = Vec::with_capacity(group.len());
-        let mut annotation_bounds = 0usize;
-        let mut lp = LpStats::default();
-        for &f in group {
-            let unit = &units[&f];
-            let (cfg, forest) = (unit.cfg(), unit.forest());
-            let mut bounds = unit.bounds.clone();
-            self.config
-                .annotations
-                .apply_loop_bounds(cfg, forest, &mut bounds, mode);
-            if mode.is_none() {
-                for (_, r) in bounds.results() {
-                    if matches!(
-                        r,
-                        BoundResult::Bounded {
-                            source: BoundSource::Annotation,
-                            ..
-                        }
-                    ) {
-                        annotation_bounds += 1;
-                    }
-                }
-            }
-            let facts = self.config.annotations.flow_facts(cfg, mode);
-            let ft = &times[&f];
-            // Static branch-prediction penalties per CFG edge — a pure
-            // function of the CFG and the timing model, so cached IPET
-            // solutions stay valid (the config fingerprint forks the key
-            // space on the pipeline flag).
-            let penalties = if self.config.pipeline {
-                pipeline::branch_penalties(cfg, &self.config.machine.timing)
-            } else {
-                BranchPenalties::default()
-            };
-
-            // Recursive cycles: compute per-activation body costs with
-            // the cycle's internal calls priced at zero, then scale by
-            // the annotated depth. Each activation runs at most once
-            // per depth level, so depth × Σ(body costs over the cycle)
-            // bounds the whole recursion. Only this path needs (and
-            // mutates) private cost maps — non-recursive groups are
-            // always singletons whose callees sit in earlier levels, so
-            // they borrow the level-shared maps clone-free.
-            let recursive = callgraph.is_recursive(f);
-            let (wcet, bcet) = if recursive {
-                let (mut w_costs, mut b_costs) = (wcet_costs.clone(), bcet_costs.clone());
-                for member in callgraph.scc_members(f) {
-                    w_costs.insert(member, 0);
-                    b_costs.insert(member, 0);
-                }
-                (
-                    ipet::wcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        &w_costs,
-                        &penalties.wcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                    ipet::bcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        &b_costs,
-                        &penalties.bcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                )
-            } else {
-                (
-                    ipet::wcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        wcet_costs,
-                        &penalties.wcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                    ipet::bcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        bcet_costs,
-                        &penalties.bcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                )
-            };
-            reports.push((f, FunctionReport { wcet, bcet }));
-        }
-        // Scale recursive members by depth × Σ(per-activation body costs
-        // over the cycle), from a snapshot of the *raw* per-activation
-        // costs. Scaling used to happen inside the member loop, which
-        // read already-scaled siblings (compounding the factor, order-
-        // dependently) and substituted a member's own cost for siblings
-        // not yet solved (undercutting the first member's bound in
-        // asymmetric cycles) — both wrong; the group holds the whole SCC,
-        // so every member's raw cost is available here.
-        let raw: BTreeMap<Addr, u64> = reports
-            .iter()
-            .map(|(f, r)| (*f, r.wcet.wcet_cycles))
-            .collect();
-        for (f, report) in &mut reports {
-            if !callgraph.is_recursive(*f) {
-                continue;
-            }
-            let depth = self
-                .config
-                .annotations
-                .recursion_depth(*f)
-                .expect("checked above");
-            let body_sum: u64 = callgraph.scc_members(*f).iter().map(|m| raw[m]).sum();
-            report.wcet.wcet_cycles = depth.saturating_mul(body_sum);
-            // One activation is the sound lower bound.
-        }
-        Ok(GroupOutcome {
-            reports,
-            annotation_bounds,
-            lp,
+            callgraph,
+            phases_map,
+            front,
+            guideline_report,
+            trace,
+            cache,
+            key_ctx,
+            pool,
+            summaries,
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// The context-sensitive (VIVU) pipeline: one unit per (function, ctx)
+// The unit pipeline: one unit per (function, call-string context)
 // ---------------------------------------------------------------------
 
-/// Everything the shared front end hands to the context-sensitive back
-/// end: the reconstructed program with its per-function phases, the
-/// report sections that are context-oblivious (front matter, guideline
+/// Callee may-write summaries shared by every value analysis of a run.
+type Summaries = Arc<HashMap<Addr, FunctionSummary>>;
+
+/// Everything the shared front end hands to the unit pipeline: the
+/// reconstructed program with its per-function phases, the report
+/// sections that are context-oblivious (front matter, guideline
 /// findings), and the incremental-cache plumbing.
 struct CtxPipeline<'a, 'c> {
     image: &'a Image,
@@ -1239,45 +572,264 @@ struct CtxPipeline<'a, 'c> {
     trace: PhaseTrace,
     cache: Option<&'c mut ArtifactCache>,
     key_ctx: Option<KeyContext>,
-    stats: IncrStats,
     pool: &'a WorkerPool,
+    /// The resolve rounds' callee summaries, when they computed them.
+    summaries: Option<Summaries>,
+}
+
+/// How a context's entry state is formed: the one seam between depth 0
+/// and depth ≥ 1, in the spirit of a summary-state policy (⊤ versus
+/// joined caller summaries).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EntryPolicy {
+    /// Depth 0: no caller join. Every context keeps the producer-less
+    /// fallback — the image entry state, unknown ACS pair and pipe for
+    /// callees, cold/drained for the task's root context — which is the
+    /// classic merged analysis.
+    Top,
+    /// Depth ≥ 1: join the producing callers' call-site hooks.
+    JoinCallers,
+}
+
+impl EntryPolicy {
+    /// The top-down schedule of the unit phase: waves of contexts whose
+    /// entry inputs depend only on earlier waves. Reversing the bottom-up
+    /// levels puts every caller before the contexts it produces; under
+    /// `Top` no entry reads a caller, so every context fits one wave.
+    fn waves(self, levels: &[Vec<Vec<Addr>>], contexts: &ContextTable) -> Vec<Vec<CtxId>> {
+        let ctxs_of = |level: &Vec<Vec<Addr>>| -> Vec<CtxId> {
+            level
+                .iter()
+                .flatten()
+                .flat_map(|&f| contexts.ctxs_of(f).iter().copied())
+                .collect()
+        };
+        match self {
+            EntryPolicy::Top => vec![levels.iter().rev().flat_map(ctxs_of).collect()],
+            EntryPolicy::JoinCallers => levels.iter().rev().map(ctxs_of).collect(),
+        }
+    }
+
+    /// The call edges whose hooks a context's entry joins. Recursive
+    /// functions join none: their one merged context keeps the ⊤ entry,
+    /// sound for any call path.
+    fn producers<'t>(self, info: &'t ContextInfo, callgraph: &CallGraph) -> &'t [(CtxId, Addr)] {
+        match self {
+            EntryPolicy::JoinCallers if !callgraph.is_recursive(info.function) => &info.preds,
+            _ => &[],
+        }
+    }
 }
 
 /// Coordinator-computed inputs of one *(function, context)* unit: the
 /// joined entry states from the producing call edges and their stable
-/// digest (the incremental cache key component).
+/// digest.
 struct CtxInput {
-    id: CtxId,
-    entry_state: AbstractState,
+    /// `None`: the image entry state, from which the resolve rounds
+    /// already analyzed every function.
+    entry_state: Option<AbstractState>,
     icache_entry: Option<CacheStates>,
     dcache_entry: Option<CacheStates>,
-    /// The abstract entry pipe (pipeline runs only): joined from the
-    /// producing callers' post-call-transfer snapshots.
+    /// The abstract entry pipe (pipeline runs only).
     pipeline_entry: Option<PipelineStates>,
     digest: u64,
 }
 
-/// One analyzed *(function, context)* unit: the full per-context value
-/// analysis, loop bounds, block times, and the caller-side propagation
-/// hooks (pre-call value states and ACS pairs per call site).
+impl CtxInput {
+    fn new(
+        entry_state: Option<AbstractState>,
+        icache_entry: Option<CacheStates>,
+        dcache_entry: Option<CacheStates>,
+        pipeline_entry: Option<PipelineStates>,
+        image_state_digest: u64,
+    ) -> CtxInput {
+        let mut h = StableHasher::new();
+        h.write_str("ctx-entry");
+        h.write_u64(
+            entry_state
+                .as_ref()
+                .map_or(image_state_digest, AbstractState::digest),
+        );
+        for digest in [
+            icache_entry.as_ref().map(CacheStates::digest),
+            dcache_entry.as_ref().map(CacheStates::digest),
+            pipeline_entry.as_ref().map(PipelineStates::digest),
+        ] {
+            match digest {
+                Some(d) => {
+                    h.write_u32(1);
+                    h.write_u64(d);
+                }
+                None => h.write_u32(0),
+            }
+        }
+        CtxInput {
+            entry_state,
+            icache_entry,
+            dcache_entry,
+            pipeline_entry,
+            digest: h.finish(),
+        }
+    }
+}
+
+/// The two producer-less entry inputs, built once per run and shared by
+/// every context that joins no caller (all of them at depth 0).
+struct EntryFallbacks {
+    image_state_digest: u64,
+    /// The task activation: cold caches, drained pipe.
+    cold: Arc<CtxInput>,
+    /// Any other context: unknown ACS pair and pipe.
+    unknown: Arc<CtxInput>,
+}
+
+impl EntryFallbacks {
+    fn new(image_state: &AbstractState, config: &AnalyzerConfig) -> EntryFallbacks {
+        let machine = &config.machine;
+        let image_state_digest = image_state.digest();
+        let cold = CtxInput::new(
+            None,
+            None,
+            None,
+            config.pipeline.then(PipelineStates::drained),
+            image_state_digest,
+        );
+        let unknown = CtxInput::new(
+            None,
+            machine.icache.as_ref().map(CacheStates::unknown),
+            machine.dcache.as_ref().map(CacheStates::unknown),
+            config.pipeline.then(|| PipelineStates::unknown(machine)),
+            image_state_digest,
+        );
+        EntryFallbacks {
+            image_state_digest,
+            cold: Arc::new(cold),
+            unknown: Arc::new(unknown),
+        }
+    }
+}
+
+/// A unit's caller-side propagation hooks: pre-call value states, ACS
+/// pairs and pipes per call site. Never serialized — a unit whose hooks
+/// some callee context joins is recomputed every run.
+struct CallHooks {
+    pre_call: BTreeMap<Addr, AbstractState>,
+    icache: Option<BTreeMap<Addr, CacheStates>>,
+    dcache: Option<BTreeMap<Addr, CacheStates>>,
+    pipeline: Option<BTreeMap<Addr, PipelineStates>>,
+}
+
+/// One analyzed (or replayed) *(function, context)* unit: the analyzed
+/// CFG and forest, loop bounds, block times, and — when a callee context
+/// reads them — the call-site hooks.
 struct CtxUnit {
-    fa: FunctionAnalysis,
+    cfg: Cfg,
+    forest: LoopForest,
     bounds: LoopBounds,
     times: BlockTimes,
     /// Instruction-cache classification counts, as
     /// `(hit, miss, first_miss, not_classified)`.
     cache_summary: Option<(usize, usize, usize, usize)>,
+    /// The unit's input digest: entry state, plus call-site footprints
+    /// under persistence.
     digest: u64,
     peeled: bool,
-    pre_call: BTreeMap<Addr, AbstractState>,
-    icache_calls: Option<BTreeMap<Addr, CacheStates>>,
-    dcache_calls: Option<BTreeMap<Addr, CacheStates>>,
-    /// Per-call-site abstract pipe entering each callee (pipeline runs
-    /// only), the pipeline analogue of `icache_calls`.
-    pipeline_calls: Option<BTreeMap<Addr, PipelineStates>>,
+    hooks: Option<CallHooks>,
+    /// Served from an artifact record instead of analyzed.
+    replayed: bool,
 }
 
-/// One schedulable path-analysis item of the context pipeline.
+impl CtxUnit {
+    /// Rebuilds a unit from an artifact record against the reconstructed
+    /// `cfg` (re-peeled when the record says so). `None` — a miss — when
+    /// the record does not fit the re-derived structures (corruption, or
+    /// a peel decision that no longer reproduces).
+    fn from_record(cfg: &Cfg, record: &UnitRecord, unrolling: bool) -> Option<CtxUnit> {
+        if record.peeled && !unrolling {
+            return None;
+        }
+        let mut cfg = cfg.clone();
+        let mut forest = LoopForest::compute(&cfg, &Dominators::compute(&cfg));
+        if record.peeled {
+            // Pure, deterministic CFG surgery — no fixpoint re-run.
+            (cfg, _) = wcet_cfg::unroll::peel_all(&cfg, &forest);
+            forest = LoopForest::compute(&cfg, &Dominators::compute(&cfg));
+        }
+        let (w, b) = (record.times_wcet.clone(), record.times_bcet.clone());
+        let times = if record.first_miss.is_empty() {
+            BlockTimes::from_raw(w, b)
+        } else {
+            BlockTimes::from_raw_with_first_miss(w, b, record.first_miss.clone())
+        }?;
+        let fits = times.len() == cfg.block_count()
+            && record.bounds.len() == forest.len()
+            && record.bounds.iter().all(|(id, _)| *id < forest.len());
+        if !fits {
+            return None;
+        }
+        let bounds = LoopBounds::from_results(
+            record
+                .bounds
+                .iter()
+                .map(|(id, r)| (wcet_cfg::loops::LoopId(*id), *r))
+                .collect(),
+        );
+        Some(CtxUnit {
+            cfg,
+            forest,
+            bounds,
+            times,
+            cache_summary: record.cache_summary,
+            digest: record.digest,
+            peeled: record.peeled,
+            hooks: None,
+            replayed: true,
+        })
+    }
+
+    /// The artifact record that replays this unit.
+    fn record(&self) -> UnitRecord {
+        let blocks = || (0..self.cfg.block_count()).map(wcet_cfg::BlockId);
+        let first_miss: Vec<u64> = blocks().map(|b| self.times.first_miss(b)).collect();
+        UnitRecord {
+            digest: self.digest,
+            peeled: self.peeled,
+            bounds: self
+                .bounds
+                .results()
+                .iter()
+                .map(|(id, r)| (id.0, *r))
+                .collect(),
+            times_wcet: blocks().map(|b| self.times.wcet(b)).collect(),
+            times_bcet: blocks().map(|b| self.times.bcet(b)).collect(),
+            first_miss: if first_miss.iter().all(|&p| p == 0) {
+                Vec::new()
+            } else {
+                first_miss
+            },
+            cache_summary: self.cache_summary,
+        }
+    }
+}
+
+/// One unit of the top-down wavefront, prepared on the coordinator.
+struct UnitJob<'p> {
+    id: CtxId,
+    function: Addr,
+    input: Arc<CtxInput>,
+    digest: u64,
+    /// Some callee context joins this unit's call-site hooks.
+    hooks: bool,
+    /// The artifact record matching `digest`, if the function was warm.
+    record: Option<&'p UnitRecord>,
+    /// The resolve rounds' analysis of a fresh function, moved here for
+    /// the first of its contexts entered from the image entry state: it
+    /// *is* that unit's value analysis. Taken once, by the worker that
+    /// analyzes the unit.
+    base: Mutex<Option<FunctionAnalysis>>,
+}
+
+/// One schedulable path-analysis item of the unit pipeline.
 enum CtxGroup {
     /// A single non-recursive context.
     Single(CtxId),
@@ -1306,6 +858,23 @@ struct SiteFootprints {
     dcache: BTreeMap<Addr, CacheFootprint>,
 }
 
+impl SiteFootprints {
+    /// Digest of every priced site. Under persistence a caller's block
+    /// times depend on its callees' footprints, which the function's
+    /// content key cannot see, so this joins the unit digest.
+    fn digest(&self) -> u64 {
+        let mut h = StableHasher::new();
+        for sites in [&self.icache, &self.dcache] {
+            h.write_usize(sites.len());
+            for (site, fp) in sites {
+                h.write_u32(site.0);
+                fp.digest_into(&mut h);
+            }
+        }
+        h.finish()
+    }
+}
+
 /// Unions `other` into `acc`, per configured cache.
 fn union_footprint_artifacts(acc: &mut FootprintArtifact, other: &FootprintArtifact) {
     if let (Some(a), Some(b)) = (&mut acc.icache, &other.icache) {
@@ -1317,14 +886,14 @@ fn union_footprint_artifacts(acc: &mut FootprintArtifact, other: &FootprintArtif
 }
 
 impl WcetAnalyzer {
-    /// The context-sensitive pipeline behind [`Self::analyze`] when
-    /// `context_depth ≥ 1`: enumerates call-string contexts, runs the
-    /// value and cache/pipeline analyses per *(function, context)* unit
-    /// top-down (callers first, so entry states are ready), and solves
-    /// one IPET system per unit bottom-up with per-call-site callee
-    /// costs. Reports merge per function by max (WCET) / min (BCET);
-    /// the task headline numbers come from the entry function's root
-    /// context.
+    /// Phases 3–5 per analysis unit: enumerates call-string contexts
+    /// (one per function at depth 0), analyzes or replays every
+    /// *(function, context)* unit top-down (callers first, so entry
+    /// states are ready), and solves one IPET system per unit bottom-up
+    /// with per-call-site callee costs. Reports merge per function by
+    /// max (WCET) / min (BCET); the task headline numbers come from the
+    /// entry function's root context.
+    #[allow(clippy::too_many_lines)] // one phase sequence, read top to bottom
     fn analyze_contexts(&self, p: CtxPipeline<'_, '_>) -> Result<AnalysisReport, AnalyzeError> {
         let CtxPipeline {
             image,
@@ -1336,17 +905,23 @@ impl WcetAnalyzer {
             mut trace,
             mut cache,
             key_ctx,
-            mut stats,
             pool,
+            summaries,
         } = p;
+        let mut stats = IncrStats::default();
+        let policy = match self.config.context_depth {
+            0 => EntryPolicy::Top,
+            _ => EntryPolicy::JoinCallers,
+        };
         let contexts = callgraph.enumerate_contexts(
             program.functions.keys(),
             program.entry,
             self.config.context_depth,
         );
-        let summaries =
-            std::sync::Arc::new(wcet_analysis::valueanalysis::compute_summaries(&program));
-        let base_entry = wcet_analysis::valueanalysis::entry_state_from_image(image);
+        // Needed only when some unit re-runs the value analysis.
+        let summaries: OnceLock<Summaries> = summaries.map_or_else(OnceLock::new, OnceLock::from);
+        let image_state = wcet_analysis::valueanalysis::entry_state_from_image(image);
+        let fallbacks = EntryFallbacks::new(&image_state, &self.config);
         let overrides = self.config.annotations.access_overrides();
         let levels = callgraph.bottom_up_levels();
         let fn_keys: BTreeMap<Addr, Option<u64>> = phases_map
@@ -1379,57 +954,110 @@ impl WcetAnalyzer {
                 cache.as_deref_mut(),
             )
         });
+        let footprint_digests: BTreeMap<Addr, u64> = footprints
+            .iter()
+            .flatten()
+            .map(|(&f, sites)| (f, sites.digest()))
+            .collect();
+
+        // Fresh functions hand their resolve-round analyses to their
+        // units; warm functions keep their artifacts for record lookups.
+        let mut base_fas: BTreeMap<Addr, FunctionAnalysis> = BTreeMap::new();
+        let mut warm: BTreeMap<Addr, FunctionArtifact> = BTreeMap::new();
+        for (f, phase) in phases_map {
+            match phase {
+                FnPhase::Fresh { fa, .. } => {
+                    base_fas.insert(f, *fa);
+                }
+                FnPhase::Warm { artifact, .. } => {
+                    warm.insert(f, artifact);
+                }
+            }
+        }
+
+        // Units whose call-site hooks some callee context joins. Hooks
+        // are never stored, so these recompute every run; every other
+        // unit replays the record matching its digest.
+        let hook_readers: BTreeSet<CtxId> = contexts
+            .iter()
+            .flat_map(|(_, info)| policy.producers(info, &callgraph))
+            .map(|&(caller, _)| caller)
+            .collect();
 
         // --- Phases 3–4 per unit: the top-down wavefront ---------------
-        // Reversing the bottom-up levels puts every caller context in an
-        // earlier level than the contexts it produces, so entry states
-        // join over already-analyzed units. Units within one level share
-        // no call edges and fan out in parallel; merges land in ctx-id
-        // order, so the report is thread-count independent.
+        // Entry states join over units of earlier waves only. Units within
+        // one wave fan out in parallel; merges land in ctx-id order, so
+        // the report is thread-count independent.
         let t3 = Instant::now();
         let mut ctx_work = Duration::ZERO;
         let mut units: BTreeMap<CtxId, CtxUnit> = BTreeMap::new();
         let mut analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
-        for level in levels.iter().rev() {
-            let ids: Vec<CtxId> = level
-                .iter()
-                .flatten()
-                .flat_map(|&f| contexts.ctxs_of(f).iter().copied())
-                .collect();
-            let inputs: Vec<CtxInput> = ids
-                .iter()
-                .map(|&id| {
-                    ctx_entry_input(
+        for wave in policy.waves(&levels, &contexts) {
+            let jobs: Vec<UnitJob<'_>> = wave
+                .into_iter()
+                .map(|id| {
+                    let f = contexts.info(id).function;
+                    let input = ctx_entry_input(
                         id,
                         &contexts,
                         &callgraph,
                         &units,
-                        &base_entry,
-                        &self.config.machine,
+                        policy,
+                        &fallbacks,
                         program.entry,
-                        self.config.pipeline,
-                    )
+                        &self.config,
+                    );
+                    let digest = match footprint_digests.get(&f) {
+                        Some(&fp) => {
+                            let mut h = StableHasher::new();
+                            h.write_u64(input.digest);
+                            h.write_u64(fp);
+                            h.finish()
+                        }
+                        None => input.digest,
+                    };
+                    let base = match input.entry_state {
+                        None => base_fas.remove(&f),
+                        Some(_) => None,
+                    };
+                    UnitJob {
+                        id,
+                        function: f,
+                        digest,
+                        hooks: hook_readers.contains(&id),
+                        record: warm.get(&f).and_then(|a| a.unit(digest)),
+                        base: Mutex::new(base),
+                        input,
+                    }
                 })
                 .collect();
-            let (results, work) = pool.map_in_order(&inputs, |input| {
-                self.analyze_ctx_unit(
-                    input,
-                    &contexts,
-                    &program,
-                    &summaries,
-                    &overrides,
-                    footprints.as_ref(),
-                )
+            let (results, work) = pool.map_in_order(&jobs, |job| {
+                let replayed = match (job.hooks, job.record) {
+                    (false, Some(record)) => {
+                        let cfg = program.cfg(job.function).expect("reconstructed");
+                        CtxUnit::from_record(cfg, record, self.config.unrolling)
+                    }
+                    _ => None,
+                };
+                replayed.unwrap_or_else(|| {
+                    self.analyze_ctx_unit(
+                        job,
+                        &program,
+                        &summaries,
+                        &image_state,
+                        &overrides,
+                        footprints.as_ref(),
+                    )
+                })
             });
             ctx_work += work;
-            for (input, unit) in inputs.into_iter().zip(results) {
-                let f = contexts.info(input.id).function;
-                if unit.peeled && !analyzed_cfgs.contains_key(&f) {
-                    // Peeling is pure CFG surgery: every context of `f`
-                    // derives the same expanded CFG.
-                    analyzed_cfgs.insert(f, unit.fa.cfg().clone());
+            for (job, unit) in jobs.iter().zip(results) {
+                if unit.peeled && !analyzed_cfgs.contains_key(&job.function) {
+                    // Peeling is pure CFG surgery: every context of a
+                    // function derives the same expanded CFG.
+                    analyzed_cfgs.insert(job.function, unit.cfg.clone());
                 }
-                units.insert(input.id, unit);
+                units.insert(job.id, unit);
             }
         }
         for unit in units.values() {
@@ -1441,25 +1069,37 @@ impl WcetAnalyzer {
             }
         }
         if self.config.pipeline {
+            // Structural, so warm and cold runs count identically.
             for unit in units.values() {
-                trace.pipeline_edges += pipeline::predicted_edge_count(unit.fa.cfg());
+                trace.pipeline_edges += pipeline::predicted_edge_count(&unit.cfg);
             }
         }
         trace.phase_times[3] = t3.elapsed();
         trace.phase_work_times[3] = ctx_work;
 
-        // --- Dirtiness propagation (function-level, as at depth 0) -----
+        // --- Artifact misses and dirtiness propagation -----------------
+        // A function's artifact is (re)written when it missed outright or
+        // when one of its units was analyzed under a digest the artifact
+        // holds no record for. Those functions plus their transitive
+        // callers are exactly the set whose IPET solutions may differ
+        // from the cache; clean functions are guaranteed full-key hits.
+        let mut rewrite: BTreeSet<Addr> = BTreeSet::new();
+        for (id, unit) in &units {
+            let f = contexts.info(*id).function;
+            let recorded = unit.replayed
+                || (hook_readers.contains(id)
+                    && warm.get(&f).is_some_and(|a| a.unit(unit.digest).is_some()));
+            if !recorded {
+                rewrite.insert(f);
+            }
+        }
         let dirty: BTreeSet<Addr> = if key_ctx.is_some() {
-            let changed: BTreeSet<Addr> = phases_map
-                .iter()
-                .filter(|(_, phase)| matches!(phase, FnPhase::Fresh { .. }))
-                .map(|(&f, _)| f)
-                .collect();
-            let dirty = callgraph.transitive_callers(&changed);
-            stats.functions = phases_map.len();
-            stats.fn_hits = phases_map.len() - changed.len();
-            stats.fn_misses = changed.len();
+            let dirty = callgraph.transitive_callers(&rewrite);
+            stats.functions = program.functions.len();
+            stats.fn_hits = stats.functions - rewrite.len();
+            stats.fn_misses = rewrite.len();
             stats.dirty = dirty.len();
+            stats.unit_hits = units.values().filter(|u| u.replayed).count();
             dirty
         } else {
             BTreeSet::new()
@@ -1467,16 +1107,13 @@ impl WcetAnalyzer {
 
         // Annotation-sourced bound statistic: per function (not per
         // context — the count describes the code), over the first
-        // context's analyzed forest, mirroring the depth-0 semantics.
+        // context's analyzed forest.
         for &f in program.functions.keys() {
             let unit = &units[&contexts.ctxs_of(f)[0]];
             let mut bounds = unit.bounds.clone();
-            self.config.annotations.apply_loop_bounds(
-                unit.fa.cfg(),
-                unit.fa.forest(),
-                &mut bounds,
-                None,
-            );
+            self.config
+                .annotations
+                .apply_loop_bounds(&unit.cfg, &unit.forest, &mut bounds, None);
             trace.loops_bounded_annot += bounds
                 .results()
                 .iter()
@@ -1493,6 +1130,11 @@ impl WcetAnalyzer {
         }
 
         // --- Phase 5: per-context path analysis, bottom-up -------------
+        // The call graph is leveled into groups whose callees all lie in
+        // earlier levels; groups within one level share no call edges and
+        // solve their IPET systems concurrently. With a cache, the
+        // coordinator first serves `(function, unit digest, mode, site
+        // costs)`-keyed solutions; only the rest fan out to the solvers.
         let t4 = Instant::now();
         let mut path_work = Duration::ZERO;
         let mut mode_wcet: BTreeMap<Option<String>, u64> = BTreeMap::new();
@@ -1545,9 +1187,9 @@ impl WcetAnalyzer {
                     };
                     let f = contexts.info(*ctx).function;
                     let unit = &units[ctx];
-                    if let Some(costs) =
-                        ctx_site_costs(unit, *ctx, &contexts, &wcet_costs, &bcet_costs)
-                    {
+                    let (costs, all_priced) =
+                        site_costs(unit, *ctx, &contexts, &wcet_costs, &bcet_costs, &[]);
+                    if all_priced {
                         priced.insert(gi, costs);
                     }
                     let (Some(fn_key), true) = (fn_keys[&f], cache.is_some()) else {
@@ -1562,11 +1204,14 @@ impl WcetAnalyzer {
                     };
                     let skey = ipet_ctx_struct_key(fn_key, unit.digest, mode.as_deref());
                     let fkey = ipet_site_full_key(skey, costs);
+                    // The dirtiness pass is the invalidation rule:
+                    // dirty functions never consult the cache — they
+                    // re-solve and overwrite their entry.
                     if !dirty.contains(&f) {
                         let store = cache.as_deref_mut().expect("cache active");
                         let hit = store
                             .lookup_ipet(skey)
-                            .filter(|e| e.full_key == fkey && entry_fits(e, unit.fa.cfg()));
+                            .filter(|e| e.full_key == fkey && entry_fits(e, &unit.cfg));
                         if let Some(entry) = hit {
                             stats.ipet_hits += 1;
                             served[gi] = Some(CtxOutcome {
@@ -1658,41 +1303,35 @@ impl WcetAnalyzer {
         trace.phase_times[4] = t4.elapsed();
         trace.phase_work_times[4] = path_work;
 
-        // --- Store fresh function artifacts ----------------------------
-        // Bounds/times are per-context at depth ≥ 1, so artifacts carry
-        // only the context-oblivious front matter (plus the merged-unit
-        // loop bounds for completeness); the structural replay path is
-        // exclusive to depth 0, whose config fingerprint differs.
+        // --- Store rewritten function artifacts ------------------------
+        // Front matter plus one record per distinct unit digest of the
+        // function this run.
         if let (Some(_), Some(store)) = (&key_ctx, cache) {
-            for (&f, phase) in &phases_map {
-                let FnPhase::Fresh { key, fa } = phase else {
-                    continue;
-                };
-                let key = key.expect("keys are computed for every function under a cache");
+            for &f in &rewrite {
+                let key = fn_keys[&f].expect("keys are computed for every function under a cache");
                 let fm = &front[&f];
+                let mut records: Vec<UnitRecord> = Vec::new();
+                for ctx in contexts.ctxs_of(f) {
+                    let unit = &units[ctx];
+                    if records.iter().all(|r| r.digest != unit.digest) {
+                        records.push(unit.record());
+                    }
+                }
                 let artifact = FunctionArtifact {
                     hint_calls: fm.hint_calls.clone(),
                     hint_jumps: fm.hint_jumps.clone(),
                     findings: fm.findings.clone(),
                     loops_total: fm.loops_total,
                     loops_auto: fm.loops_auto,
-                    peeled: false,
-                    bounds: fa
-                        .loop_bounds()
-                        .results()
-                        .iter()
-                        .map(|(id, r)| (id.0, *r))
-                        .collect(),
-                    times_wcet: Vec::new(),
-                    times_bcet: Vec::new(),
-                    cache_summary: None,
-                    pipeline_digest: None,
+                    units: records,
                 };
                 store.store_fn(key, &artifact);
             }
         }
 
-        let entry_cfg = units[&root_ctx].fa.cfg();
+        // ILP size statistics for the entry function (over the CFG the
+        // ILP was actually built from).
+        let entry_cfg = &units[&root_ctx].cfg;
         trace.ilp_vars = entry_cfg.edges().len() + entry_cfg.block_count() + 1;
         trace.ilp_constraints = entry_cfg.block_count() * 2;
 
@@ -1866,46 +1505,51 @@ impl WcetAnalyzer {
     }
 
     /// Analyzes one *(function, context)* unit: value analysis from the
-    /// context's entry state, optional virtual unrolling (re-analyzed
+    /// context's entry state (the resolve rounds' analysis when that is
+    /// the image entry state), optional virtual unrolling (re-analyzed
     /// under the same entry state), cache fixpoints seeded with the entry
-    /// ACS pair, and block times.
+    /// ACS pair, block times, and the call-site hooks when a callee
+    /// context reads them.
     fn analyze_ctx_unit(
         &self,
-        input: &CtxInput,
-        contexts: &ContextTable,
+        job: &UnitJob<'_>,
         program: &Program,
-        summaries: &std::sync::Arc<
-            std::collections::HashMap<Addr, wcet_analysis::valueanalysis::FunctionSummary>,
-        >,
+        summaries: &OnceLock<Summaries>,
+        image_state: &AbstractState,
         overrides: &wcet_micro::blocktime::AccessOverrides,
         footprints: Option<&BTreeMap<Addr, SiteFootprints>>,
     ) -> CtxUnit {
         let machine = &self.config.machine;
-        let f = contexts.info(input.id).function;
+        let input = &job.input;
+        let f = job.function;
         let site_fps = footprints.and_then(|m| m.get(&f));
         // Footprints exist exactly when the persistence analysis is on
         // (and a cache is configured).
         let persistence = footprints.is_some();
-        let cfg = program.cfg(f).expect("reconstructed").clone();
-        let mut fa = wcet_analysis::valueanalysis::analyze_cfg(
-            cfg,
-            f,
-            input.entry_state.clone(),
-            AnalysisConfig::default(),
-            summaries.clone(),
-        );
-        let mut peeled_flag = false;
+        let analyze = |cfg: Cfg| {
+            let summaries = summaries
+                .get_or_init(|| Arc::new(wcet_analysis::valueanalysis::compute_summaries(program)));
+            wcet_analysis::valueanalysis::analyze_cfg(
+                cfg,
+                f,
+                input.entry_state.as_ref().unwrap_or(image_state).clone(),
+                AnalysisConfig::default(),
+                summaries.clone(),
+            )
+        };
+        let base = job
+            .base
+            .lock()
+            .expect("no worker panicked holding a unit job")
+            .take();
+        let mut fa =
+            base.unwrap_or_else(|| analyze(program.cfg(f).expect("reconstructed").clone()));
+        let mut peeled = false;
         if self.config.unrolling {
-            let (peeled, _skipped) = wcet_cfg::unroll::peel_all(fa.cfg(), fa.forest());
-            if peeled.block_count() != fa.cfg().block_count() {
-                fa = wcet_analysis::valueanalysis::analyze_cfg(
-                    peeled,
-                    f,
-                    input.entry_state.clone(),
-                    AnalysisConfig::default(),
-                    summaries.clone(),
-                );
-                peeled_flag = true;
+            let (expanded, _skipped) = wcet_cfg::unroll::peel_all(fa.cfg(), fa.forest());
+            if expanded.block_count() != fa.cfg().block_count() {
+                fa = analyze(expanded);
+                peeled = true;
             }
         }
         let accesses = fa.access_values();
@@ -1962,25 +1606,29 @@ impl WcetAnalyzer {
             );
             (times, None)
         };
-        let cache_summary = icache.as_ref().map(CacheAnalysis::summary4);
         let bounds = fa.loop_bounds();
-        let pre_call = fa.pre_call_states();
+        let hooks = job.hooks.then(|| CallHooks {
+            pre_call: fa.pre_call_states(),
+            icache: icache_calls,
+            dcache: dcache_calls,
+            pipeline: pipeline_calls,
+        });
+        let (cfg, forest) = fa.into_cfg_and_forest();
         CtxUnit {
+            cfg,
+            forest,
             bounds,
             times,
-            cache_summary,
-            digest: input.digest,
-            peeled: peeled_flag,
-            pre_call,
-            icache_calls,
-            dcache_calls,
-            pipeline_calls,
-            fa,
+            cache_summary: icache.as_ref().map(CacheAnalysis::summary4),
+            digest: job.digest,
+            peeled,
+            hooks,
+            replayed: false,
         }
     }
-
-    /// Path-analyzes one context group for `mode` — the per-context
-    /// analogue of the depth-0 `analyze_call_group`.
+    /// Path-analyzes one context group for `mode`: a single context, or a
+    /// recursive SCC processed as a unit (its members need each other's
+    /// per-activation body costs).
     #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
     fn solve_ctx_group(
         &self,
@@ -2000,7 +1648,7 @@ impl WcetAnalyzer {
          -> Result<FunctionReport, AnalyzeError> {
             let f = contexts.info(ctx).function;
             let unit = &units[&ctx];
-            let (cfg, forest) = (unit.fa.cfg(), unit.fa.forest());
+            let (cfg, forest) = (&unit.cfg, &unit.forest);
             let mut bounds = unit.bounds.clone();
             self.config
                 .annotations
@@ -2008,17 +1656,21 @@ impl WcetAnalyzer {
             let facts = self.config.annotations.flow_facts(cfg, mode);
             // The coordinator already priced this context's sites when it
             // probed the cache; reuse its vector instead of re-deriving.
-            let (w_costs, b_costs) = match priced {
-                Some(costs) => {
-                    let (mut w, mut b) = (CallCosts::new(), CallCosts::new());
-                    for &(site, sw, sb) in costs {
-                        w.insert_site(site, sw);
-                        b.insert_site(site, sb);
-                    }
-                    (w, b)
+            // Sites left unpriced surface as `PathError::MissingCallee`.
+            let repriced;
+            let priced = match priced {
+                Some(costs) => costs,
+                None => {
+                    repriced =
+                        site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members).0;
+                    &repriced
                 }
-                None => site_cost_tables(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members),
             };
+            let (mut w_costs, mut b_costs) = (CallCosts::new(), CallCosts::new());
+            for &(site, sw, sb) in priced {
+                w_costs.insert_site(site, sw);
+                b_costs.insert_site(site, sb);
+            }
             let penalties = if self.config.pipeline {
                 pipeline::branch_penalties(cfg, &self.config.machine.timing)
             } else {
@@ -2061,8 +1713,10 @@ impl WcetAnalyzer {
             CtxGroup::Scc(members) => {
                 // Recursive cycles: per-activation body costs with the
                 // cycle's internal calls priced at zero, scaled by the
-                // annotated depth — exactly the depth-0 rule (members
-                // have one merged context each).
+                // annotated depth (members have one merged context
+                // each). Each activation runs at most once per depth
+                // level, so depth × Σ(body costs over the cycle) bounds
+                // the whole recursion.
                 let mut reports: Vec<(CtxId, FunctionReport)> = Vec::with_capacity(members.len());
                 for &f in members {
                     let ctx = contexts.ctxs_of(f)[0];
@@ -2071,8 +1725,9 @@ impl WcetAnalyzer {
                 }
                 // Scale from a snapshot of the *raw* per-activation
                 // costs: mutating `reports` while reading siblings from
-                // it would compound the depth factor order-dependently
-                // (the depth-0 path had exactly that bug).
+                // it would compound the depth factor order-dependently,
+                // and substituting a member's own cost for unsolved
+                // siblings would undercut asymmetric cycles.
                 let raw: BTreeMap<Addr, u64> = reports
                     .iter()
                     .map(|(c, r)| (contexts.info(*c).function, r.wcet.wcet_cycles))
@@ -2083,7 +1738,7 @@ impl WcetAnalyzer {
                         .config
                         .annotations
                         .recursion_depth(f)
-                        .expect("recursion checked before the pipeline split");
+                        .expect("recursion checked before the unit pipeline");
                     let body_sum: u64 = callgraph.scc_members(f).iter().map(|m| raw[m]).sum();
                     report.wcet.wcet_cycles = depth.saturating_mul(body_sum);
                     // One activation stays the sound lower bound.
@@ -2094,145 +1749,93 @@ impl WcetAnalyzer {
     }
 }
 
-/// Computes the entry inputs of one context on the coordinator: the join
-/// of the producing callers' pre-call value states and ACS pairs, and
-/// the digest that keys per-context IPET solutions. Recursive functions
-/// and functions without resolved producers fall back to the ⊤ image
-/// entry state (today's merged behaviour) — sound for any call path.
-/// Their cache entries fall back to [`CacheStates::unknown`], not cold:
-/// only `task_entry`'s root context genuinely starts on a cold machine,
-/// and a cold fallback would classify entry fetches always-miss — an
-/// unsound BCET when a real caller already warmed the lines.
+/// Computes the entry inputs of one context on the coordinator. Under
+/// [`EntryPolicy::JoinCallers`] they are the join of the producing
+/// callers' pre-call value states, ACS pairs and pipes. A context that
+/// joins nothing — every context at depth 0, recursive functions, and
+/// functions without resolved producers — shares a producer-less
+/// fallback: the image entry state, sound for any call path. Its cache
+/// entries are [`CacheStates::unknown`], not cold: only the task's root
+/// context genuinely starts on a cold machine, and a cold fallback would
+/// classify entry fetches always-miss — an unsound BCET when a real
+/// caller already warmed the lines. The abstract pipe mirrors that rule
+/// (drained only for the task activation).
 #[allow(clippy::too_many_arguments)] // coordinator state, plumbed not stored
 fn ctx_entry_input(
     id: CtxId,
     contexts: &ContextTable,
     callgraph: &CallGraph,
     units: &BTreeMap<CtxId, CtxUnit>,
-    base_entry: &AbstractState,
-    machine: &MachineConfig,
+    policy: EntryPolicy,
+    fallbacks: &EntryFallbacks,
     task_entry: Addr,
-    pipeline_on: bool,
-) -> CtxInput {
+    config: &AnalyzerConfig,
+) -> Arc<CtxInput> {
     let info = contexts.info(id);
+    let producers = policy.producers(info, callgraph);
+    if producers.is_empty() {
+        // The task activation: the entry function's context that no call
+        // edge enters (the depth-0 policy sees no call edges at all).
+        let cold =
+            info.function == task_entry && (policy == EntryPolicy::Top || info.preds.is_empty());
+        return Arc::clone(if cold {
+            &fallbacks.cold
+        } else {
+            &fallbacks.unknown
+        });
+    }
+    let machine = &config.machine;
     let mut state: Option<AbstractState> = None;
     let mut icache_entry: Option<CacheStates> = None;
     let mut dcache_entry: Option<CacheStates> = None;
     let mut pipe: Option<PipelineStates> = None;
-    if !callgraph.is_recursive(info.function) {
-        // `preds` is sorted, so the joins fold in a fixed order:
-        // deterministic at any thread count.
-        for &(caller, site) in &info.preds {
-            let Some(caller_unit) = units.get(&caller) else {
-                continue;
-            };
-            if let Some(s) = caller_unit.pre_call.get(&site) {
-                state = Some(match state {
-                    Some(cur) => cur.join(s),
-                    None => s.clone(),
-                });
-            }
-            for (pair, entry) in [
-                (&caller_unit.icache_calls, &mut icache_entry),
-                (&caller_unit.dcache_calls, &mut dcache_entry),
-            ] {
-                if let Some(p) = pair.as_ref().and_then(|m| m.get(&site)) {
-                    *entry = Some(match entry.take() {
-                        Some(cur) => cur.join(p),
-                        None => p.clone(),
-                    });
-                }
-            }
-            if let Some(p) = caller_unit
-                .pipeline_calls
-                .as_ref()
-                .and_then(|m| m.get(&site))
-            {
-                pipe = Some(match pipe.take() {
+    // `preds` is sorted, so the joins fold in a fixed order:
+    // deterministic at any thread count.
+    for &(caller, site) in producers {
+        let Some(hooks) = units.get(&caller).and_then(|u| u.hooks.as_ref()) else {
+            continue;
+        };
+        if let Some(s) = hooks.pre_call.get(&site) {
+            state = Some(match state {
+                Some(cur) => cur.join(s),
+                None => s.clone(),
+            });
+        }
+        for (calls, entry) in [
+            (&hooks.icache, &mut icache_entry),
+            (&hooks.dcache, &mut dcache_entry),
+        ] {
+            if let Some(p) = calls.as_ref().and_then(|m| m.get(&site)) {
+                *entry = Some(match entry.take() {
                     Some(cur) => cur.join(p),
                     None => p.clone(),
                 });
             }
         }
-    }
-    let entry_state = state.unwrap_or_else(|| base_entry.clone());
-    let genuinely_cold = info.function == task_entry && info.preds.is_empty();
-    if !genuinely_cold {
-        if icache_entry.is_none() {
-            icache_entry = machine.icache.as_ref().map(CacheStates::unknown);
-        }
-        if dcache_entry.is_none() {
-            dcache_entry = machine.dcache.as_ref().map(CacheStates::unknown);
+        if let Some(p) = hooks.pipeline.as_ref().and_then(|m| m.get(&site)) {
+            pipe = Some(match pipe.take() {
+                Some(cur) => cur.join(p),
+                None => p.clone(),
+            });
         }
     }
-    // The abstract pipe mirrors the ACS rule: drained is *exact* for the
-    // task activation; every other context without tracked producers
-    // (recursion, unresolved callers) falls back to the unknown pipe.
-    let pipeline_entry = pipeline_on.then(|| {
-        pipe.unwrap_or_else(|| {
-            if genuinely_cold {
-                PipelineStates::drained()
-            } else {
-                PipelineStates::unknown(machine)
-            }
-        })
-    });
-    let mut h = StableHasher::new();
-    h.write_str("ctx-entry");
-    h.write_u64(entry_state.digest());
-    for entry in [&icache_entry, &dcache_entry] {
-        match entry {
-            Some(pair) => {
-                h.write_u32(1);
-                h.write_u64(pair.digest());
-            }
-            None => h.write_u32(0),
-        }
-    }
-    match &pipeline_entry {
-        Some(p) => {
-            h.write_u32(1);
-            h.write_u64(p.digest());
-        }
-        None => h.write_u32(0),
-    }
-    CtxInput {
-        id,
-        entry_state,
-        icache_entry,
-        dcache_entry,
-        pipeline_entry,
-        digest: h.finish(),
-    }
+    // Parts no producer supplied fall back like a producer-less callee.
+    Arc::new(CtxInput::new(
+        state,
+        icache_entry.or_else(|| machine.icache.as_ref().map(CacheStates::unknown)),
+        dcache_entry.or_else(|| machine.dcache.as_ref().map(CacheStates::unknown)),
+        config
+            .pipeline
+            .then(|| pipe.unwrap_or_else(|| PipelineStates::unknown(machine))),
+        fallbacks.image_state_digest,
+    ))
 }
-
-/// The per-site cost tables of one context's IPET system: every resolved
-/// call site priced with the *(callee, context)* bounds it targets
-/// (merged max/min over an indirect site's callee set). `zero_members`
-/// are SCC members priced at zero for the recursion rule. Sites with a
-/// missing callee bound stay unpriced — the solver surfaces
-/// [`PathError::MissingCallee`].
-fn site_cost_tables(
-    unit: &CtxUnit,
-    ctx: CtxId,
-    contexts: &ContextTable,
-    wcet_costs: &BTreeMap<CtxId, u64>,
-    bcet_costs: &BTreeMap<CtxId, u64>,
-    zero_members: &[Addr],
-) -> (CallCosts, CallCosts) {
-    let mut w = CallCosts::new();
-    let mut b = CallCosts::new();
-    for (site, w_cost, b_cost) in
-        site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members)
-    {
-        w.insert_site(site, w_cost);
-        b.insert_site(site, b_cost);
-    }
-    (w, b)
-}
-
 /// The priced call sites of one context, in site order: `(site, WCET,
-/// BCET)`. Sites whose callee contexts lack a bound are omitted.
+/// BCET)` with each site priced by the *(callee, context)* bounds it
+/// targets (merged max/min over an indirect site's callee set), and
+/// whether every resolved site got a price (the full cache key needs
+/// all of them). `zero_members` are SCC members priced at zero for the
+/// recursion rule; sites with a missing callee bound are omitted.
 fn site_costs(
     unit: &CtxUnit,
     ctx: CtxId,
@@ -2240,9 +1843,11 @@ fn site_costs(
     wcet_costs: &BTreeMap<CtxId, u64>,
     bcet_costs: &BTreeMap<CtxId, u64>,
     zero_members: &[Addr],
-) -> Vec<(Addr, u64, u64)> {
+) -> (Vec<(Addr, u64, u64)>, bool) {
     let mut out: BTreeMap<Addr, (u64, u64)> = BTreeMap::new();
-    for (site, targets) in unit.fa.cfg().call_sites() {
+    let mut all_priced = true;
+    for (site, targets) in unit.cfg.call_sites() {
+        let resolved = !targets.is_empty();
         let mut site_w: Option<u64> = None;
         let mut site_b: Option<u64> = None;
         let mut complete = true;
@@ -2269,41 +1874,12 @@ fn site_costs(
             // Peeled copies repeat a site with identical targets; the
             // map keeps one deterministic entry.
             out.insert(site, (sw, sb));
+        } else if resolved {
+            all_priced = false;
         }
     }
-    out.into_iter().map(|(s, (w, b))| (s, w, b)).collect()
-}
-
-/// The full-key cost vector of one context's IPET system, or `None` when
-/// a callee bound is still missing (the solver will error there).
-fn ctx_site_costs(
-    unit: &CtxUnit,
-    ctx: CtxId,
-    contexts: &ContextTable,
-    wcet_costs: &BTreeMap<CtxId, u64>,
-    bcet_costs: &BTreeMap<CtxId, u64>,
-) -> Option<Vec<(Addr, u64, u64)>> {
-    let priced = site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, &[]);
-    let wanted: BTreeSet<Addr> = unit
-        .fa
-        .cfg()
-        .call_sites()
-        .into_iter()
-        .filter(|(_, targets)| !targets.is_empty())
-        .map(|(s, _)| s)
-        .collect();
-    (priced.len() == wanted.len()).then_some(priced)
-}
-
-/// What one wavefront group's path analysis produced.
-struct GroupOutcome {
-    /// Per-function reports, in the group's processing order.
-    reports: Vec<(Addr, FunctionReport)>,
-    /// Annotation-sourced loop bounds seen (counted in global mode only).
-    annotation_bounds: usize,
-    /// LP solver effort over the group's solves (replayed from the cache
-    /// on a hit, so warm and cold traces match).
-    lp: LpStats,
+    let priced = out.into_iter().map(|(s, (w, b))| (s, w, b)).collect();
+    (priced, all_priced)
 }
 
 /// `(site, targets)` hint pairs for one kind of indirection.
@@ -2317,7 +1893,7 @@ enum FnPhase {
         /// Content key under the current reconstruction (cache runs only).
         key: Option<u64>,
         /// The value analysis result.
-        fa: FunctionAnalysis,
+        fa: Box<FunctionAnalysis>,
     },
     /// Served from the cache.
     Warm {
@@ -2355,106 +1931,14 @@ impl FnPhase {
     }
 }
 
-/// Per-function results captured before virtual unrolling: resolver
-/// hints, guideline findings, and loop statistics (all over the un-peeled
-/// CFG).
+/// Per-function results over the reconstructed (un-peeled) CFG:
+/// resolver hints, guideline findings, and loop statistics.
 struct FrontMatter {
     hint_calls: BTreeMap<Addr, Vec<Addr>>,
     hint_jumps: BTreeMap<Addr, Vec<Addr>>,
     findings: Vec<Finding>,
     loops_total: usize,
     loops_auto: usize,
-}
-
-/// A function ready for the path phase: the analyzed CFG/forest pair and
-/// the automatic loop bounds over it.
-struct Unit {
-    /// Content key (cache runs only).
-    key: Option<u64>,
-    /// Whether this unit was replayed from the cache.
-    warm: bool,
-    /// Automatic loop bounds over the analyzed CFG.
-    bounds: LoopBounds,
-    body: UnitBody,
-}
-
-enum UnitBody {
-    Fresh(FunctionAnalysis),
-    Warm { cfg: Cfg, forest: LoopForest },
-}
-
-impl Unit {
-    fn cfg(&self) -> &Cfg {
-        match &self.body {
-            UnitBody::Fresh(fa) => fa.cfg(),
-            UnitBody::Warm { cfg, .. } => cfg,
-        }
-    }
-
-    fn forest(&self) -> &LoopForest {
-        match &self.body {
-            UnitBody::Fresh(fa) => fa.forest(),
-            UnitBody::Warm { forest, .. } => forest,
-        }
-    }
-}
-
-/// Rebuilds a [`Unit`] and its [`BlockTimes`] from a cached artifact
-/// against the re-derived CFG/forest. `None` — a miss — when the artifact
-/// does not fit the structures (corruption, or a peel decision that no
-/// longer reproduces).
-fn replay_unit(
-    key: u64,
-    artifact: &FunctionArtifact,
-    cfg: Cfg,
-    forest: LoopForest,
-) -> Option<(Unit, BlockTimes)> {
-    let times = BlockTimes::from_raw(artifact.times_wcet.clone(), artifact.times_bcet.clone())?;
-    if times.len() != cfg.block_count() {
-        return None;
-    }
-    if artifact.bounds.len() != forest.len() {
-        return None;
-    }
-    let results: Vec<(wcet_cfg::loops::LoopId, BoundResult)> = artifact
-        .bounds
-        .iter()
-        .map(|(id, r)| (wcet_cfg::loops::LoopId(*id), *r))
-        .collect();
-    // Every recorded loop id must exist in the re-derived forest.
-    if results.iter().any(|(id, _)| id.0 >= forest.len()) {
-        return None;
-    }
-    let unit = Unit {
-        key: Some(key),
-        warm: true,
-        bounds: LoopBounds::from_results(results),
-        body: UnitBody::Warm { cfg, forest },
-    };
-    Some((unit, times))
-}
-
-/// The callee cost vector of one function's IPET system, in callee
-/// address order: the inputs the full cache key must cover. `None` when a
-/// callee's bound is not available yet (the solver will surface the
-/// error).
-fn callee_costs(
-    cfg: &Cfg,
-    wcet_costs: &CallCosts,
-    bcet_costs: &CallCosts,
-) -> Option<Vec<(Addr, u64, u64)>> {
-    let mut callees: BTreeSet<Addr> = BTreeSet::new();
-    for (_, targets) in cfg.call_sites() {
-        callees.extend(targets);
-    }
-    callees
-        .into_iter()
-        .map(|c| {
-            let w = wcet_costs.get(&c)?;
-            let b = bcet_costs.get(&c)?;
-            Some((c, *w, *b))
-        })
-        .collect()
 }
 
 /// Cheap structural validation of a cached IPET solution against the CFG

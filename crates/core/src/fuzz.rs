@@ -37,7 +37,10 @@
 //! * branches over the externally-set input registers `r10..r12`,
 //! * straight-line ALU traffic drawn from the op set both backends encode
 //!   (`AluImm` restricted to the RV32I immediate forms; `li` defers to the
-//!   per-ISA constant synthesis).
+//!   per-ISA constant synthesis),
+//! * timing corner cases for the pipeline model: conditional branches
+//!   whose target is their own fall-through, and (house only — RV32I has
+//!   no FP encoding) long-latency `fdiv`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +51,7 @@ use rand::{Rng, SeedableRng};
 use wcet_guidelines::annot::AnnotationSet;
 use wcet_isa::builder::ProgramBuilder;
 use wcet_isa::interp::{Interpreter, MachineConfig};
-use wcet_isa::{AluOp, Cond, Image, IsaKind, Reg};
+use wcet_isa::{AluOp, Cond, FAluOp, FReg, Image, Inst, IsaKind, Reg};
 
 use crate::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
 use crate::incr::ArtifactCache;
@@ -63,6 +66,9 @@ const MAX_LOOP_DEPTH: u8 = 2;
 const NUM_SCRATCH: u8 = 6;
 /// Externally-set input registers (`r10..r12`, read-only to generated code).
 const NUM_INPUTS: u8 = 3;
+/// Floating-point registers the `fdiv` statement reads and writes
+/// (`f0..f3`).
+const NUM_FREGS: u8 = 4;
 
 /// Loop-counter register for nesting level `depth` (`r8`/`r9`).
 fn counter_reg(depth: u8) -> Reg {
@@ -136,6 +142,13 @@ pub enum Stmt {
     /// Call to function `callee` (an index into [`ProgSpec::funcs`];
     /// always a strictly deeper call-tree level, so the graph is acyclic).
     Call { callee: usize },
+    /// Conditional branch on `src(rs1) cond src(rs2)` whose target is the
+    /// next instruction: one merged CFG edge that static prediction may
+    /// or may not get right.
+    SameTargetBranch { cond: Cond, rs1: u8, rs2: u8 },
+    /// `f[fd] = f[fs1] / f[fs2]`: a long-latency floating-point divide
+    /// (house only; RV32I has no FP encoding).
+    FDiv { fd: u8, fs1: u8, fs2: u8 },
 }
 
 impl Stmt {
@@ -252,6 +265,7 @@ pub fn program_seed(campaign_seed: u64, index: u64, isa: IsaKind) -> u64 {
 
 struct Gen {
     rng: StdRng,
+    isa: IsaKind,
     /// Remaining statement budget for the whole program, so deeply nested
     /// recursion cannot balloon one spec.
     budget: usize,
@@ -260,7 +274,7 @@ struct Gen {
 impl Gen {
     fn stmt(&mut self, loop_depth: u8, call_targets: &[usize]) -> Stmt {
         self.budget = self.budget.saturating_sub(1);
-        let roll = self.rng.gen_range(0u32..100);
+        let roll = self.rng.gen_range(0u32..106);
         match roll {
             // Straight-line ALU traffic dominates: it is where the value
             // domain (and the interval fix under test) lives.
@@ -322,6 +336,16 @@ impl Gen {
                 annotate: self.rng.gen_bool(0.4),
                 body: self.body(1..=4, loop_depth + 1, call_targets),
             },
+            100..=102 => Stmt::SameTargetBranch {
+                cond: CONDS[self.rng.gen_range(0..CONDS.len())],
+                rs1: self.rs(),
+                rs2: self.rs(),
+            },
+            103..=105 if self.isa == IsaKind::House => Stmt::FDiv {
+                fd: self.rng.gen_range(0..NUM_FREGS),
+                fs1: self.rng.gen_range(0..NUM_FREGS),
+                fs2: self.rng.gen_range(0..NUM_FREGS),
+            },
             _ if !call_targets.is_empty() => Stmt::Call {
                 callee: call_targets[self.rng.gen_range(0..call_targets.len())],
             },
@@ -362,6 +386,7 @@ impl Gen {
 pub fn generate(seed: u64, isa: IsaKind) -> ProgSpec {
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed),
+        isa,
         budget: 60,
     };
     let code_base = if g.rng.gen_bool(0.5) {
@@ -507,6 +532,20 @@ impl Lowerer<'_> {
             Stmt::Call { callee } => {
                 self.b.call(&func_label(*callee));
             }
+            Stmt::SameTargetBranch { cond, rs1, rs2 } => {
+                let next = self.fresh("next");
+                let (rs1, rs2) = (self.src(*rs1), self.src(*rs2));
+                self.b.branch(*cond, rs1, rs2, &next);
+                self.b.label(&next);
+            }
+            Stmt::FDiv { fd, fs1, fs2 } => {
+                self.b.inst(Inst::FAlu {
+                    op: FAluOp::FDiv,
+                    fd: FReg::new(*fd),
+                    fs1: FReg::new(*fs1),
+                    fs2: FReg::new(*fs2),
+                });
+            }
         }
     }
 }
@@ -603,7 +642,7 @@ impl fmt::Display for OracleCase {
 }
 
 /// The full matrix every program is checked against.
-pub const MATRIX: [OracleCase; 8] = [
+pub const MATRIX: [OracleCase; 9] = [
     OracleCase {
         caches: false,
         context_depth: 0,
@@ -650,6 +689,13 @@ pub const MATRIX: [OracleCase; 8] = [
         caches: false,
         context_depth: 0,
         persistence: false,
+        unrolling: false,
+        pipeline: true,
+    },
+    OracleCase {
+        caches: true,
+        context_depth: 0,
+        persistence: true,
         unrolling: false,
         pipeline: true,
     },

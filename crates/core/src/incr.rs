@@ -8,22 +8,25 @@
 //! the function's content:
 //!
 //! * **Function artifacts** (`fn/<key>.art`) — resolver hints, guideline
-//!   findings, loop statistics, automatic loop bounds, per-block WCET/BCET
-//!   times, and the cache-classification summary. Keyed by
-//!   [`function_key`]: a stable hash of the function's reconstructed CFG
-//!   (raw instruction words *and* resolved terminators), the image's
-//!   initialized data, the callees' may-write-memory summaries, and the
-//!   [`config_fingerprint`]. Everything the value/timing phases read is in
-//!   the key, so a hit replays the exact artifact a fresh run would
-//!   compute.
+//!   findings and loop statistics (the *front matter*), plus one
+//!   [`UnitRecord`] per analyzed unit: automatic loop bounds, per-block
+//!   WCET/BCET/first-miss times, the cache-classification summary and the
+//!   peel flag, keyed by the unit's input digest (entry state and, under
+//!   persistence, the call-site footprints). Keyed by [`function_key`]: a
+//!   stable hash of the function's reconstructed CFG (raw instruction
+//!   words *and* resolved terminators), the image's initialized data, the
+//!   callees' may-write-memory summaries, and the [`config_fingerprint`].
+//!   Everything the value/timing phases read is in the key plus the unit
+//!   digest, so a hit replays the exact record a fresh run would compute.
 //! * **IPET solutions** (`ipet/<structkey>.sol`) — the WCET and BCET
-//!   [`WcetResult`] of one `(function, mode)` pair. The file is addressed
-//!   by the *structure* key (function key + mode); inside, the full key
-//!   additionally covers the callee cost vector. A callee whose bound
-//!   changed therefore misses on the full key and re-solves — dirtiness
-//!   propagates caller-ward through content addressing, mirroring the
-//!   explicit [`wcet_cfg::callgraph::CallGraph::transitive_callers`] pass
-//!   the analyzer runs for its statistics.
+//!   [`WcetResult`] of one `(function, unit digest, mode)` triple. The
+//!   file is addressed by the *structure* key; inside, the full key
+//!   additionally covers the per-call-site cost vector. A callee whose
+//!   bound changed therefore misses on the full key and re-solves —
+//!   dirtiness propagates caller-ward through content addressing,
+//!   mirroring the explicit
+//!   [`wcet_cfg::callgraph::CallGraph::transitive_callers`] pass the
+//!   analyzer runs for its statistics.
 //!
 //! Soundness stance: a cache hit must be byte-identical to a fresh run.
 //! That holds because every input of the cached computation is hashed
@@ -67,7 +70,11 @@ use crate::analyzer::AnalyzerConfig;
 /// Version 7: the abstract pipeline — the pipeline flag joins the config
 /// fingerprint and function artifacts record the pipeline-state entry
 /// digest their block times were derived against.
-pub(crate) const CACHE_VERSION: u32 = 7;
+/// Version 8: one analysis pipeline for every context depth — function
+/// artifacts carry per-unit records (bounds, times with first-miss
+/// penalties, the four-way cache summary, the peel flag) keyed by unit
+/// digest, and IPET solutions are keyed per unit at depth 0 too.
+pub(crate) const CACHE_VERSION: u32 = 8;
 
 /// Magic prefix of every artifact file.
 const MAGIC: &[u8; 4] = b"WCAC";
@@ -219,39 +226,12 @@ fn hash_terminator(h: &mut StableHasher, term: &wcet_cfg::block::Terminator) {
     }
 }
 
-/// Structure key of one `(function, mode)` IPET system.
-#[must_use]
-pub fn ipet_struct_key(fn_key: u64, mode: Option<&str>) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(fn_key);
-    match mode {
-        Some(m) => h.write_str(m),
-        None => h.write_str("\u{0}global"),
-    }
-    h.finish()
-}
-
-/// Full key of one IPET solve: the structure key plus the callee cost
-/// vector it was priced with.
-#[must_use]
-pub fn ipet_full_key(struct_key: u64, costs: &[(Addr, u64, u64)]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(struct_key);
-    h.write_usize(costs.len());
-    for &(callee, wcet, bcet) in costs {
-        h.write_u32(callee.0);
-        h.write_u64(wcet);
-        h.write_u64(bcet);
-    }
-    h.finish()
-}
-
-/// Structure key of one *(function, context, mode)* IPET system in the
-/// context-sensitive pipeline: the function's content key plus the
-/// digest of the context's entry state (register/memory intervals and,
-/// when caches are configured, the entry ACS pair). Two contexts with
-/// identical entry digests legitimately share a solution — the pipeline
-/// is a pure function of the entry state.
+/// Structure key of one *(function, unit, mode)* IPET system: the
+/// function's content key plus the unit's input digest (register/memory
+/// intervals, the entry ACS pair and pipe when configured, and the
+/// call-site footprints under persistence). Two contexts with identical
+/// digests legitimately share a solution — the unit analysis is a pure
+/// function of those inputs.
 #[must_use]
 pub fn ipet_ctx_struct_key(fn_key: u64, ctx_digest: u64, mode: Option<&str>) -> u64 {
     let mut h = StableHasher::new();
@@ -287,10 +267,9 @@ pub fn ipet_site_full_key(struct_key: u64, costs: &[(Addr, u64, u64)]) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Everything the value/timing phases derive from one function, recorded
-/// for replay. Bounds, times, and the cache summary refer to the
-/// *analyzed* CFG — the peeled copy when `peeled` is set and unrolling is
-/// on; the analyzer re-derives that CFG deterministically from the
-/// reconstruction.
+/// for replay: the context-oblivious front matter (over the reconstructed
+/// CFG) and one [`UnitRecord`] per distinct unit digest the function was
+/// analyzed under.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FunctionArtifact {
     /// Indirect-call target hints the value analysis recovered.
@@ -303,8 +282,28 @@ pub struct FunctionArtifact {
     pub loops_total: usize,
     /// Loops bounded automatically.
     pub loops_auto: usize,
-    /// Whether virtual unrolling changed the CFG (only meaningful for
-    /// artifacts produced under `unrolling: true`).
+    /// The analyzed units, one per distinct digest, in context order.
+    pub units: Vec<UnitRecord>,
+}
+
+impl FunctionArtifact {
+    /// The unit record analyzed under `digest`, if any.
+    #[must_use]
+    pub fn unit(&self, digest: u64) -> Option<&UnitRecord> {
+        self.units.iter().find(|u| u.digest == digest)
+    }
+}
+
+/// What the path phase needs from one analyzed *(function, unit
+/// digest)* pair. Bounds, times and the cache summary refer to the
+/// *analyzed* CFG — the peeled copy when `peeled` is set; the analyzer
+/// re-derives that CFG deterministically from the reconstruction.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct UnitRecord {
+    /// The unit's input digest (entry state, plus call-site footprints
+    /// under persistence).
+    pub digest: u64,
+    /// Whether virtual unrolling changed the CFG.
     pub peeled: bool,
     /// Automatic loop-bound results over the analyzed CFG's forest, in
     /// loop-id order.
@@ -313,13 +312,11 @@ pub struct FunctionArtifact {
     pub times_wcet: Vec<u64>,
     /// Per-block BCET cycles over the analyzed CFG.
     pub times_bcet: Vec<u64>,
-    /// Instruction-cache classification counts `(hit, miss, unclassified)`
-    /// when an icache was configured.
-    pub cache_summary: Option<(usize, usize, usize)>,
-    /// Digest of the abstract pipeline entry state the block times were
-    /// derived against (pipeline runs only) — the replay guard for the
-    /// entry/callee asymmetry the function key cannot see.
-    pub pipeline_digest: Option<u64>,
+    /// Per-block first-miss penalties; empty when every block's is zero.
+    pub first_miss: Vec<u64>,
+    /// Instruction-cache classification counts `(hit, miss, first_miss,
+    /// not_classified)` when an icache was configured.
+    pub cache_summary: Option<(usize, usize, usize, usize)>,
 }
 
 /// One function's *own* (non-transitive) cache footprints — the lines
@@ -356,9 +353,11 @@ pub struct IpetEntry {
 pub struct IncrStats {
     /// Functions in the final reconstruction.
     pub functions: usize,
-    /// Function artifacts served from the cache in the final round.
+    /// Functions whose artifact was served from the cache and held a
+    /// record for every unit this run analyzed (nothing to rewrite).
     pub fn_hits: usize,
-    /// Function artifacts computed fresh (and stored).
+    /// Function artifacts computed fresh or rewritten with a new unit
+    /// record (each one written to the store).
     pub fn_misses: usize,
     /// Functions invalidated by the dirtiness pass: changed functions
     /// plus their transitive callers.
@@ -367,6 +366,10 @@ pub struct IncrStats {
     pub ipet_hits: usize,
     /// IPET systems solved this run.
     pub ipet_solves: usize,
+    /// Analysis units (one per function at depth 0, one per
+    /// *(function, context)* above) replayed from artifact records
+    /// instead of re-analyzed.
+    pub unit_hits: usize,
 }
 
 impl fmt::Display for IncrStats {
@@ -374,8 +377,13 @@ impl fmt::Display for IncrStats {
         write!(
             f,
             "cache: {}/{} function artifact(s) hit, {} dirty, \
-             {} IPET hit(s), {} IPET solve(s)",
-            self.fn_hits, self.functions, self.dirty, self.ipet_hits, self.ipet_solves
+             {} IPET hit(s), {} IPET solve(s), {} unit(s) replayed",
+            self.fn_hits,
+            self.functions,
+            self.dirty,
+            self.ipet_hits,
+            self.ipet_solves,
+            self.unit_hits
         )
     }
 }
@@ -1017,35 +1025,9 @@ fn encode_fn_artifact(a: &FunctionArtifact) -> Vec<u8> {
     }
     e.usize(a.loops_total);
     e.usize(a.loops_auto);
-    e.u8(u8::from(a.peeled));
-    e.usize(a.bounds.len());
-    for (id, result) in &a.bounds {
-        e.usize(*id);
-        bound_to_bytes(&mut e, result);
-    }
-    e.usize(a.times_wcet.len());
-    for &t in &a.times_wcet {
-        e.u64(t);
-    }
-    e.usize(a.times_bcet.len());
-    for &t in &a.times_bcet {
-        e.u64(t);
-    }
-    match a.cache_summary {
-        Some((h, m, nc)) => {
-            e.u8(1);
-            e.usize(h);
-            e.usize(m);
-            e.usize(nc);
-        }
-        None => e.u8(0),
-    }
-    match a.pipeline_digest {
-        Some(d) => {
-            e.u8(1);
-            e.u64(d);
-        }
-        None => e.u8(0),
+    e.usize(a.units.len());
+    for u in &a.units {
+        encode_unit_record(&mut e, u);
     }
     e.seal()
 }
@@ -1074,6 +1056,61 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
     }
     let loops_total = d.usize()?;
     let loops_auto = d.usize()?;
+    let n_units = d.len()?;
+    let mut units = Vec::with_capacity(n_units.min(64));
+    for _ in 0..n_units {
+        units.push(decode_unit_record(&mut d)?);
+    }
+    d.done().then_some(FunctionArtifact {
+        hint_calls,
+        hint_jumps,
+        findings,
+        loops_total,
+        loops_auto,
+        units,
+    })
+}
+
+fn encode_u64s(e: &mut Enc, values: &[u64]) {
+    e.usize(values.len());
+    for &v in values {
+        e.u64(v);
+    }
+}
+
+fn decode_u64s(d: &mut Dec<'_>) -> Option<Vec<u64>> {
+    let n = d.len()?;
+    let mut values = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        values.push(d.u64()?);
+    }
+    Some(values)
+}
+
+fn encode_unit_record(e: &mut Enc, u: &UnitRecord) {
+    e.u64(u.digest);
+    e.u8(u8::from(u.peeled));
+    e.usize(u.bounds.len());
+    for (id, result) in &u.bounds {
+        e.usize(*id);
+        bound_to_bytes(e, result);
+    }
+    encode_u64s(e, &u.times_wcet);
+    encode_u64s(e, &u.times_bcet);
+    encode_u64s(e, &u.first_miss);
+    match u.cache_summary {
+        Some((h, m, fm, nc)) => {
+            e.u8(1);
+            for v in [h, m, fm, nc] {
+                e.usize(v);
+            }
+        }
+        None => e.u8(0),
+    }
+}
+
+fn decode_unit_record(d: &mut Dec<'_>) -> Option<UnitRecord> {
+    let digest = d.u64()?;
     let peeled = match d.u8()? {
         0 => false,
         1 => true,
@@ -1083,40 +1120,24 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
     let mut bounds = Vec::with_capacity(n_bounds.min(1024));
     for _ in 0..n_bounds {
         let id = d.usize()?;
-        bounds.push((id, bound_from_bytes(&mut d)?));
+        bounds.push((id, bound_from_bytes(d)?));
     }
-    let n_w = d.len()?;
-    let mut times_wcet = Vec::with_capacity(n_w.min(1 << 16));
-    for _ in 0..n_w {
-        times_wcet.push(d.u64()?);
-    }
-    let n_b = d.len()?;
-    let mut times_bcet = Vec::with_capacity(n_b.min(1 << 16));
-    for _ in 0..n_b {
-        times_bcet.push(d.u64()?);
-    }
+    let times_wcet = decode_u64s(d)?;
+    let times_bcet = decode_u64s(d)?;
+    let first_miss = decode_u64s(d)?;
     let cache_summary = match d.u8()? {
         0 => None,
-        1 => Some((d.usize()?, d.usize()?, d.usize()?)),
+        1 => Some((d.usize()?, d.usize()?, d.usize()?, d.usize()?)),
         _ => return None,
     };
-    let pipeline_digest = match d.u8()? {
-        0 => None,
-        1 => Some(d.u64()?),
-        _ => return None,
-    };
-    d.done().then_some(FunctionArtifact {
-        hint_calls,
-        hint_jumps,
-        findings,
-        loops_total,
-        loops_auto,
+    Some(UnitRecord {
+        digest,
         peeled,
         bounds,
         times_wcet,
         times_bcet,
+        first_miss,
         cache_summary,
-        pipeline_digest,
     })
 }
 
@@ -1316,26 +1337,37 @@ mod tests {
             }],
             loops_total: 2,
             loops_auto: 1,
-            peeled: true,
-            bounds: vec![
-                (
-                    0,
-                    BoundResult::Bounded {
-                        max_iterations: 16,
-                        source: BoundSource::Auto,
-                    },
-                ),
-                (
-                    1,
-                    BoundResult::Unbounded {
-                        reason: UnboundedReason::DataDependent,
-                    },
-                ),
+            units: vec![
+                UnitRecord {
+                    digest: 0x1234_5678_9abc_def0,
+                    peeled: true,
+                    bounds: vec![
+                        (
+                            0,
+                            BoundResult::Bounded {
+                                max_iterations: 16,
+                                source: BoundSource::Auto,
+                            },
+                        ),
+                        (
+                            1,
+                            BoundResult::Unbounded {
+                                reason: UnboundedReason::DataDependent,
+                            },
+                        ),
+                    ],
+                    times_wcet: vec![10, 42, 7],
+                    times_bcet: vec![4, 40, 7],
+                    first_miss: vec![0, 9, 0],
+                    cache_summary: Some((12, 3, 2, 1)),
+                },
+                UnitRecord {
+                    digest: 7,
+                    times_wcet: vec![1],
+                    times_bcet: vec![1],
+                    ..UnitRecord::default()
+                },
             ],
-            times_wcet: vec![10, 42, 7],
-            times_bcet: vec![4, 40, 7],
-            cache_summary: Some((12, 3, 1)),
-            pipeline_digest: Some(0x1234_5678_9abc_def0),
         }
     }
 
@@ -1520,16 +1552,17 @@ mod tests {
 
     #[test]
     fn keys_separate_mode_and_costs() {
-        let k = ipet_struct_key(1, None);
-        assert_ne!(k, ipet_struct_key(1, Some("ground")));
-        assert_ne!(k, ipet_struct_key(2, None));
+        let k = ipet_ctx_struct_key(1, 9, None);
+        assert_ne!(k, ipet_ctx_struct_key(1, 9, Some("ground")));
+        assert_ne!(k, ipet_ctx_struct_key(2, 9, None));
+        assert_ne!(k, ipet_ctx_struct_key(1, 10, None));
         let costs = [(Addr(0x2000), 10, 5)];
-        assert_ne!(ipet_full_key(k, &costs), ipet_full_key(k, &[]));
+        assert_ne!(ipet_site_full_key(k, &costs), ipet_site_full_key(k, &[]));
         assert_ne!(
-            ipet_full_key(k, &costs),
-            ipet_full_key(k, &[(Addr(0x2000), 11, 5)])
+            ipet_site_full_key(k, &costs),
+            ipet_site_full_key(k, &[(Addr(0x2000), 11, 5)])
         );
-        assert_eq!(ipet_full_key(k, &costs), ipet_full_key(k, &costs));
+        assert_eq!(ipet_site_full_key(k, &costs), ipet_site_full_key(k, &costs));
     }
 
     #[test]

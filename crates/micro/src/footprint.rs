@@ -95,6 +95,23 @@ impl CacheFootprint {
         &self.sets
     }
 
+    /// Feeds the per-set summaries into `h` (the geometry is fixed by the
+    /// machine configuration, so it is not hashed).
+    pub fn digest_into(&self, h: &mut wcet_isa::hash::StableHasher) {
+        for set in &self.sets {
+            match set {
+                SetFootprint::Any => h.write_u32(1),
+                SetFootprint::Lines(lines) => {
+                    h.write_u32(0);
+                    h.write_usize(lines.len());
+                    for &l in lines {
+                        h.write_u32(l);
+                    }
+                }
+            }
+        }
+    }
+
     /// True if no set can be touched at all.
     #[must_use]
     pub fn touches_nothing(&self) -> bool {

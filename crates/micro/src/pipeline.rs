@@ -485,7 +485,9 @@ pub fn analyze(
     // Conditional branches fork: the predicted edge carries the
     // transferred state with that edge's exact execute cost; the
     // mispredicted edge drains the pipe (the interpreter restarts
-    // against empty stages after the refill).
+    // against empty stages after the refill). A branch whose target is
+    // its own fall-through has one merged edge that may go either way,
+    // predicted or not, so it carries the join of all three outcomes.
     let out_edges = |block: BlockId, in_state: &PipelineStates| -> Vec<(BlockId, PipelineStates)> {
         let b = cfg.block(block);
         match b.term {
@@ -499,14 +501,12 @@ pub fn analyze(
                 cfg.succs[block.0]
                     .iter()
                     .map(|&succ| {
-                        let start = cfg.block(succ).start;
-                        let is_taken_edge = start == taken;
-                        let predicted = if taken == fallthrough {
-                            true
-                        } else {
-                            is_taken_edge == predicted_taken
-                        };
-                        let state = if predicted {
+                        let is_taken_edge = cfg.block(succ).start == taken;
+                        let state = if taken == fallthrough {
+                            transfer(in_state, block, Some(taken_cost))
+                                .join(&transfer(in_state, block, Some(not_taken_cost)))
+                                .join(&PipelineStates::drained())
+                        } else if is_taken_edge == predicted_taken {
                             let exec = if is_taken_edge {
                                 taken_cost
                             } else {

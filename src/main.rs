@@ -12,11 +12,11 @@
 //!   --context-depth <k>          analyze one unit per (function, call-string
 //!                                of length ≤ k) — VIVU-style context
 //!                                sensitivity; default 0 = merged analysis
-//!   --persistence                per-context cache persistence analysis:
-//!                                callee footprint summaries at calls and
+//!   --persistence                cache persistence analysis: callee
+//!                                footprint summaries at calls and
 //!                                first-miss classification (one miss per
-//!                                activation); needs --caches and
-//!                                --context-depth ≥ 1
+//!                                activation); needs --caches, works at
+//!                                any --context-depth
 //!   --pipeline                   abstract in-order pipeline timing with
 //!                                static BTFNT branch prediction: block
 //!                                costs become retirement deltas over
@@ -398,20 +398,10 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<String>), String> {
             path => files.push(path.to_owned()),
         }
     }
-    if opts.persistence {
-        // The persistence analysis lives in the context-sensitive
-        // pipeline and classifies against the cache model; without
-        // either it would silently change nothing.
-        if !opts.caches {
-            return Err("--persistence requires --caches (there is no cache to persist in)".into());
-        }
-        if opts.context_depth == 0 {
-            return Err(
-                "--persistence requires --context-depth 1 or higher (it runs in the \
-                 context-sensitive pipeline)"
-                    .into(),
-            );
-        }
+    // The persistence analysis classifies against the cache model; without
+    // one it would silently change nothing.
+    if opts.persistence && !opts.caches {
+        return Err("--persistence requires --caches (there is no cache to persist in)".into());
     }
     Ok((opts, files))
 }

@@ -341,15 +341,34 @@ fn corpus_workloads_analyze_via_cli_and_context_depth_tightens() {
             wcet_bound(&persistent.stdout) < wcet_bound(&clobbered.stdout),
             "--persistence must print a smaller bound"
         );
+
+        // --persistence runs at depth 0 too (one merged unit per
+        // function), and the observed cached execution stays inside the
+        // bounds it prints.
+        let depth0 = wcet(&[
+            program.to_str().unwrap(),
+            "--annotations",
+            annots.to_str().unwrap(),
+            "--caches",
+            "--persistence",
+            "--run",
+        ]);
+        let stdout = String::from_utf8_lossy(&depth0.stdout);
+        assert!(
+            depth0.status.success(),
+            "--persistence at depth 0 analyzes: {}",
+            String::from_utf8_lossy(&depth0.stderr)
+        );
+        assert!(
+            stdout.contains("observed execution:") && stdout.contains("within bounds: true"),
+            "depth-0 persistence run outside its bounds:\n{stdout}"
+        );
     }
 
-    // --persistence is validated against its prerequisites.
+    // --persistence is validated against its prerequisite.
     let no_caches = wcet(&["prog.s", "--persistence", "--context-depth", "1"]);
     assert!(!no_caches.status.success());
     assert!(String::from_utf8_lossy(&no_caches.stderr).contains("--caches"));
-    let no_depth = wcet(&["prog.s", "--persistence", "--caches"]);
-    assert!(!no_depth.status.success());
-    assert!(String::from_utf8_lossy(&no_depth.stderr).contains("--context-depth"));
 
     // The flag is validated.
     let bad = wcet(&["--context-depth"]);

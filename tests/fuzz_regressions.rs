@@ -159,6 +159,51 @@ fn wrapping_mul_and_mulhu_programs_stay_sound() {
     }
 }
 
+/// Found by `wcet fuzz --seed 1` (program #30, house) once the grammar
+/// grew same-target branches, shrunk to `blt r2, r12, next; next: halt`:
+/// the abstract pipeline carried only the predicted transfer on the one
+/// merged edge of a branch whose target is its own fall-through, so
+/// whichever outcome mispredicted escaped both bounds. Pinned on both
+/// ISAs, with and without a long-latency `fdiv` (house only) in front.
+#[test]
+fn same_target_branches_stay_sound_under_pipeline_timing() {
+    for isa in [IsaKind::House, IsaKind::Rv32i] {
+        let branch = Stmt::SameTargetBranch {
+            cond: Cond::Lt,
+            rs1: 1,
+            rs2: 8,
+        };
+        let mut bodies = vec![vec![branch.clone()]];
+        if isa == IsaKind::House {
+            bodies.push(vec![
+                Stmt::FDiv {
+                    fd: 1,
+                    fs1: 1,
+                    fs2: 1,
+                },
+                Stmt::SameTargetBranch {
+                    cond: Cond::Eq,
+                    rs1: 9,
+                    rs2: 9,
+                },
+                Stmt::FDiv {
+                    fd: 2,
+                    fs1: 2,
+                    fs2: 2,
+                },
+            ]);
+        }
+        for body in bodies {
+            let spec = ProgSpec {
+                isa,
+                code_base: 0x1000,
+                funcs: vec![FuncSpec { level: 0, body }],
+            };
+            assert_sound(&spec, 7);
+        }
+    }
+}
+
 /// Generator self-test at the integration level: a slice of the seeded
 /// corpus lowers, terminates, respects its annotations, and stays inside
 /// the analyzer's bounds across the whole oracle matrix on both ISAs.
